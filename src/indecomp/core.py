@@ -179,6 +179,8 @@ def pairs_equivalent(
 def mask_of(vertices: Iterable[int]) -> int:
     m = 0
     for v in vertices:
+        if v < 0:
+            raise DigraphError(f"negative vertex {v}")
         m |= 1 << v
     return m
 

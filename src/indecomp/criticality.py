@@ -131,11 +131,11 @@ def critical_vertices(g: Digraph) -> CriticalityReport:
     )
 
 
-def _ig_edges(out, inn, n: int, cache: dict) -> set:
+def _ig_edges(out, inn, n: int) -> set:
     full = (1 << n) - 1
     edges = set()
     for x, y in itertools.combinations(range(n), 2):
-        if _prime_mask(out, inn, full ^ (1 << x) ^ (1 << y), cache):
+        if _prime_mask(out, inn, full ^ (1 << x) ^ (1 << y)):
             edges.add((x, y))
     return edges
 
@@ -146,10 +146,9 @@ def indecomposability_graph(g: Digraph) -> SymGraph:
     if g.n < 4:
         raise DigraphError("indecomposability_graph: need order >= 4")
     out, inn = g.out_rows, g.in_rows
-    cache: dict = {}
-    if not _prime_mask(out, inn, (1 << g.n) - 1, cache):
+    if not _prime_mask(out, inn, (1 << g.n) - 1):
         raise DigraphError("indecomposability_graph: graph is decomposable")
-    return SymGraph(g.n, frozenset(_ig_edges(out, inn, g.n, cache)))
+    return SymGraph(g.n, frozenset(_ig_edges(out, inn, g.n)))
 
 
 def support(ig: SymGraph) -> SupportResult:
@@ -309,17 +308,16 @@ def check_lemma21(g: Digraph) -> dict:
         raise DigraphError("check_lemma21: need order >= 5")
     out, inn = g.out_rows, g.in_rows
     full = (1 << g.n) - 1
-    cache: dict = {}
-    if not _prime_mask(out, inn, full, cache):
+    if not _prime_mask(out, inn, full):
         raise DigraphError("check_lemma21: graph is decomposable")
-    edges = _ig_edges(out, inn, g.n, cache)
+    edges = _ig_edges(out, inn, g.n)
     nbrs: dict = {v: [] for v in range(g.n)}
     for x, y in edges:
         nbrs[x].append(y)
         nbrs[y].append(x)
     results: dict = {}
     for x in range(g.n):
-        if _prime_mask(out, inn, full ^ (1 << x), cache):
+        if _prime_mask(out, inn, full ^ (1 << x)):
             continue  # not critical
         around = nbrs[x]
         if len(around) > 2:

@@ -527,18 +527,23 @@ def _audit_graph(
             for xs in itertools.combinations(range(g.n), size):
                 if not _prime_mask(out, inn, mask_of(xs)):
                     continue
+                try:
+                    part = outside_partition(g, xs)
+                except TheoremViolation:
+                    part = None
                 if "outside_partition" in audits:
                     tallies["outside_partition"]["checked"] += 1
-                    try:
-                        outside_partition(g, xs)
-                    except TheoremViolation:
+                    if part is None:
                         tallies["outside_partition"]["failed"] += 1
                 if "extension_rules" in audits:
-                    try:
-                        fired = check_outside_rules(g, xs)
-                        tallies["extension_rules"]["checked"] += fired
-                    except TheoremViolation:
-                        tallies["extension_rules"]["failed"] += 1
+                    rules = tallies["extension_rules"]
+                    if part is None:
+                        rules["failed"] += 1
+                    else:
+                        try:
+                            rules["checked"] += check_outside_rules(g, part)
+                        except TheoremViolation:
+                            rules["failed"] += 1
     if not prime:
         return DECOMPOSABLE
     out, inn = g.out_rows, g.in_rows
@@ -663,13 +668,24 @@ def survey_random(
     on_chunk: Optional[Callable[[dict], None]] = None,
 ) -> SurveyReport:
     """Audit seeded random assignments, plus one-pair mutants of every
-    family member of the order (when any exist)."""
+    family member of the order (when any exist).
+
+    The seed must be nonnegative; audits, when given, names a subset of
+    AUDIT_NAMES (all of them by default)."""
     if not 3 <= order <= RANDOM_ORDER_BOUND:
         raise DigraphError(f"survey_random: order must be in 3..{RANDOM_ORDER_BOUND}")
     if samples < 0:
         raise DigraphError("survey_random: samples must be nonnegative")
+    if seed < 0:
+        raise DigraphError("survey_random: seed must be nonnegative")
     if audits is None:
         audits = AUDIT_NAMES
+    unknown = sorted(set(audits) - set(AUDIT_NAMES))
+    if unknown:
+        raise DigraphError(
+            f"survey_random: unknown audits {unknown} (choose from: "
+            + ", ".join(AUDIT_NAMES) + ")"
+        )
     started = time.time()
     chunks = []
     index = 0

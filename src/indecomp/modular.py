@@ -9,10 +9,19 @@ Two routes to indecomposability live here on purpose.  nontrivial_intervals
 enumerates candidate subsets and tests the definition pair by pair; it is the
 slow reference oracle.  is_indecomposable runs splitter closures over bit
 masks instead.  The test suite holds one against the other.
+
+Every primality question on the closure route goes through _prime_mask,
+which keeps one bounded memo keyed on (out rows, in rows, universe).  The
+rows identify the graph, so a subgraph asked about by several audits of the
+same graph (the partition, the extension rules, the two-vertex extension,
+the deletion sweeps) is decided once.  The bound, PRIME_MEMO_SIZE, holds the
+whole working set of one graph; entries of earlier graphs age out.  The
+oracle does not go through the memo.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -21,6 +30,11 @@ from .core import Digraph, DigraphError, bits_of, mask_of, pair_type
 
 # nontrivial_intervals enumerates all 2^n subsets; keep that honest.
 SUBSET_ORACLE_BOUND = 12
+
+# Entries of the _prime_mask memo.  It must hold the largest per-graph
+# working set, or a graph's own audits evict each other's answers: an
+# order-12 survey_random audit touches about 2.5k distinct universes.
+PRIME_MEMO_SIZE = 1 << 12
 
 
 class TheoremViolation(Exception):
@@ -113,29 +127,20 @@ def _closure_mask(out, inn, seed: int, universe: int) -> int:
         m |= add
 
 
-def _prime_mask(out, inn, universe: int, cache: Optional[dict] = None) -> bool:
+@functools.lru_cache(maxsize=PRIME_MEMO_SIZE)
+def _prime_mask(out: tuple, inn: tuple, universe: int) -> bool:
     """Is the subgraph induced on `universe` indecomposable?
 
     A nontrivial interval would contain some pair whose closure stays
-    proper, so it suffices to close every pair.  `cache` (universe -> bool)
-    lets repeated audits of overlapping subgraphs share work.
+    proper, so it suffices to close every pair.  Answers are memoized on
+    (out, inn, universe), so the rows must be tuples; the memo keeps the
+    PRIME_MEMO_SIZE most recently used entries across graphs.
     """
-    if cache is not None:
-        hit = cache.get(universe)
-        if hit is not None:
-            return hit
     verts = list(bits_of(universe))
-    if len(verts) <= 2:
-        result = True
-    else:
-        result = True
-        for a, b in itertools.combinations(verts, 2):
-            if _closure_mask(out, inn, (1 << a) | (1 << b), universe) != universe:
-                result = False
-                break
-    if cache is not None:
-        cache[universe] = result
-    return result
+    for a, b in itertools.combinations(verts, 2):
+        if _closure_mask(out, inn, (1 << a) | (1 << b), universe) != universe:
+            return False
+    return True
 
 
 # -- public interval operations ---------------------------------------------------
@@ -195,16 +200,19 @@ class OutsidePartition:
         raise DigraphError(f"vertex {x} not outside {self.subset}")
 
 
-def _anchor_matches(g: Digraph, subset, x: int) -> list:
-    out = []
-    for u in subset:
-        if all(
-            pair_type(g, z, u) == pair_type(g, z, x)
-            for z in subset
-            if z != u
-        ):
-            out.append(u)
-    return out
+def _anchor_matches(out, inn, xmask: int, x: int) -> list:
+    """Vertices u of X (ascending) with x a twin of u over X: every z in X
+    other than u relates to x as it relates to u.  Bit z of out[u] and
+    in[u] gives the type of (z, u), so that is one mask test per u."""
+    anchors = []
+    rest = xmask
+    while rest:
+        low = rest & -rest
+        u = low.bit_length() - 1
+        if not ((out[u] ^ out[x]) | (inn[u] ^ inn[x])) & (xmask ^ low):
+            anchors.append(u)
+        rest ^= low
+    return anchors
 
 
 def outside_partition(g: Digraph, xs: Iterable[int]) -> OutsidePartition:
@@ -230,7 +238,7 @@ def outside_partition(g: Digraph, xs: Iterable[int]) -> OutsidePartition:
         ox = out[x] & xmask
         ix = inn[x] & xmask
         in_bracket = (ox == 0 or ox == xmask) and (ix == 0 or ix == xmask)
-        anchors = _anchor_matches(g, subset, x)
+        anchors = _anchor_matches(out, inn, xmask, x)
         in_ext = _prime_mask(out, inn, xmask | (1 << x))
         hits = int(in_bracket) + len(anchors) + int(in_ext)
         if hits != 1:
@@ -259,11 +267,12 @@ def outside_partition(g: Digraph, xs: Iterable[int]) -> OutsidePartition:
     )
 
 
-def check_outside_rules(g: Digraph, xs: Iterable[int]) -> int:
-    """Audit the pairwise extension rules over a partition.
+def check_outside_rules(g: Digraph, part: OutsidePartition) -> int:
+    """Audit the pairwise extension rules over a partition of g.
 
-    For x, y outside the subset X, whenever the extension by both stays
-    decomposable the decomposition is pinned down:
+    `part` is what outside_partition(g, X) returned.  For x, y outside the
+    subset X, whenever the extension by both stays decomposable the
+    decomposition is pinned down:
 
       * x in a cell of u, y anywhere else outside: {u, x} is an interval of
         the two-vertex extension;
@@ -273,10 +282,11 @@ def check_outside_rules(g: Digraph, xs: Iterable[int]) -> int:
     Returns the number of implications whose hypothesis fired.  Raises
     TheoremViolation on the first conclusion that fails.
     """
-    part = outside_partition(g, xs)
+    if not isinstance(part, OutsidePartition):
+        raise DigraphError("check_outside_rules: pass the OutsidePartition "
+                           "returned by outside_partition")
     out, inn = g.out_rows, g.in_rows
     xmask = mask_of(part.subset)
-    cache: dict = {}
     checked = 0
 
     def fail(rule, x, y, claim):
@@ -294,7 +304,7 @@ def check_outside_rules(g: Digraph, xs: Iterable[int]) -> int:
                 if y == x or y in members:
                     continue
                 uni = xmask | (1 << x) | (1 << y)
-                if not _prime_mask(out, inn, uni, cache):
+                if not _prime_mask(out, inn, uni):
                     checked += 1
                     claim = (1 << u) | (1 << x)
                     if not _is_interval_mask(out, inn, claim, uni):
@@ -304,14 +314,14 @@ def check_outside_rules(g: Digraph, xs: Iterable[int]) -> int:
             if y == x or y in part.bracket:
                 continue
             uni = xmask | (1 << x) | (1 << y)
-            if not _prime_mask(out, inn, uni, cache):
+            if not _prime_mask(out, inn, uni):
                 checked += 1
                 claim = xmask | (1 << y)
                 if not _is_interval_mask(out, inn, claim, uni):
                     fail("bracket", x, y, claim)
     for x, y in itertools.combinations(part.ext, 2):
         uni = xmask | (1 << x) | (1 << y)
-        if not _prime_mask(out, inn, uni, cache):
+        if not _prime_mask(out, inn, uni):
             checked += 1
             claim = (1 << x) | (1 << y)
             if not _is_interval_mask(out, inn, claim, uni):

@@ -166,6 +166,15 @@ def test_survey_bad_order(capsys):
     assert "error:" in err
 
 
+def test_survey_negative_seed(capsys):
+    code, out, err = run(capsys, "survey", "--order", "6", "--samples", "3",
+                         "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "seed" in err
+    assert "Traceback" not in err
+
+
 def test_roundtrip_cli(capsys):
     code, out, _ = run(capsys, "roundtrip", "--orders", "7..7")
     assert code == 0

@@ -166,6 +166,31 @@ def test_random_rejects_bad_input():
         survey_random(7, -1, 0)
 
 
+def test_random_rejects_unknown_audit():
+    with pytest.raises(DigraphError, match="bogus"):
+        survey_random(6, 5, 0, audits=("bogus",))
+    with pytest.raises(DigraphError):
+        survey_random(6, 5, 0, audits=("extension_rules", "extension_rule"))
+
+
+def test_random_rejects_negative_seed():
+    with pytest.raises(DigraphError, match="seed"):
+        survey_random(6, 5, -1)
+    with pytest.raises(DigraphError, match="seed"):
+        survey_random(7, 0, -3)  # mutants only: still rejected
+
+
+def test_extension_rules_alone_match_all_audits():
+    # the audit shares one outside partition per subset with the
+    # outside_partition audit; running it alone must count the same
+    alone = survey_random(7, 60, 4242, audits=("extension_rules",),
+                          mutate_members=False)
+    full = survey_random(7, 60, 4242, mutate_members=False)
+    assert alone.audits["extension_rules"]["checked"] > 0
+    assert alone.audits["extension_rules"] == full.audits["extension_rules"]
+    assert alone.audits["outside_partition"] == {"checked": 0, "failed": 0}
+
+
 def test_random_defect_one_codes_recorded():
     # mutants of family members frequently stay defect one, so the code
     # list is nonempty and deduplicated

@@ -10,13 +10,18 @@ import pytest
 from indecomp.core import (
     DigraphError,
     PairType,
+    bits_of,
     from_pair_types,
     induced,
     make_digraph,
+    mask_of,
+    pair_type,
 )
 from indecomp.modular import (
     OutsidePartition,
     TheoremViolation,
+    _anchor_matches,
+    _prime_mask,
     check_outside_rules,
     extend_by_two,
     is_indecomposable,
@@ -186,6 +191,82 @@ def test_partition_rejects_bad_subsets():
         outside_partition(chain(6), [0, 1, 2])  # decomposable subset
 
 
+def test_negative_vertex_rejected():
+    g = dirpath(6)
+    with pytest.raises(DigraphError, match="negative"):
+        mask_of([0, -1])
+    with pytest.raises(DigraphError, match="negative"):
+        outside_partition(g, (-1, 0, 1))
+    with pytest.raises(DigraphError, match="negative"):
+        is_interval(g, [-1, 2])
+    with pytest.raises(DigraphError, match="negative"):
+        minimal_interval_containing(g, [-2])
+    with pytest.raises(DigraphError, match="negative"):
+        extend_by_two(g, [-1, 0, 1])
+
+
+def _anchor_reference(g, subset, x):
+    return [
+        u for u in subset
+        if all(pair_type(g, z, u) == pair_type(g, z, x)
+               for z in subset if z != u)
+    ]
+
+
+def test_anchor_matches_mask_form_equals_pair_types():
+    rng = random.Random(31)
+    compared = found = 0
+    for n in (5, 6, 7, 8):
+        for _ in range(3):
+            g = random_digraph(n, rng)
+            for size in (3, 4):
+                for subset in itertools.combinations(range(n), size):
+                    xmask = mask_of(subset)
+                    for x in range(n):
+                        if x in subset:
+                            continue
+                        got = _anchor_matches(g.out_rows, g.in_rows, xmask, x)
+                        want = _anchor_reference(g, subset, x)
+                        assert got == want, (g, subset, x)
+                        compared += 1
+                        found += len(want)
+    assert compared > 0 and found > 0
+
+
+def test_prime_mask_memo_keys_on_rows():
+    # two graphs of one order, asked about every universe in turn: a memo
+    # keyed on the universe alone would hand one graph's verdicts to the
+    # other
+    rng = random.Random(32)
+    n = 6
+    g, h = random_digraph(n, rng), random_digraph(n, rng)
+    universes = [
+        mask_of(s) for size in range(3, n + 1)
+        for s in itertools.combinations(range(n), size)
+    ]
+    want = {
+        (k, u): not nontrivial_intervals(induced(graph, bits_of(u))[0])
+        for k, graph in enumerate((g, h)) for u in universes
+    }
+    assert any(want[(0, u)] != want[(1, u)] for u in universes)
+    _prime_mask.cache_clear()
+    for label in ("cold", "warm"):
+        for u in universes:
+            for k, graph in enumerate((g, h)):
+                got = _prime_mask(graph.out_rows, graph.in_rows, u)
+                assert got == want[(k, u)], (label, k, u)
+    info = _prime_mask.cache_info()
+    assert info.misses == 2 * len(universes)
+    assert info.hits == 2 * len(universes)
+
+
+def test_check_outside_rules_needs_a_partition():
+    g = dirpath(7)
+    with pytest.raises(DigraphError):
+        check_outside_rules(g, (0, 1, 2))
+    assert check_outside_rules(g, outside_partition(g, (0, 1, 2))) >= 0
+
+
 def test_partition_membership_matches_definitions():
     # class_of agrees with the definitional tests done via the oracle
     rng = random.Random(23)
@@ -228,7 +309,7 @@ def test_outside_rules_hold_on_random_graphs():
         if nontrivial_intervals(sub):
             continue
         done += 1
-        assert check_outside_rules(g, subset) >= 0
+        assert check_outside_rules(g, outside_partition(g, subset)) >= 0
 
 
 # -- growth lemmas ------------------------------------------------------------------------
