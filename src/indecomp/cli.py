@@ -251,11 +251,14 @@ def _cmd_survey(args) -> int:
 
 
 def _parse_orders(text: str) -> range:
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-    else:
-        lo = hi = int(text)
+    try:
+        if ".." in text:
+            lo_text, hi_text = text.split("..", 1)
+            lo, hi = int(lo_text), int(hi_text)
+        else:
+            lo = hi = int(text)
+    except ValueError:
+        raise DigraphError(f"bad order range '{text}' (want N or LO..HI)") from None
     if hi < lo:
         raise DigraphError(f"empty order range '{text}'")
     return range(lo, hi + 1)

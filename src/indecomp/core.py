@@ -82,6 +82,8 @@ class Digraph:
         return self.n
 
     def has_arc(self, x: int, y: int) -> bool:
+        if not 0 <= x < self.n > y >= 0:
+            raise DigraphError(f"has_arc: ({x}, {y}) out of range for order {self.n}")
         return bool(self.out_rows[x] >> y & 1)
 
     def arcs(self) -> Iterator[tuple[int, int]]:
@@ -164,6 +166,8 @@ def pair_type(g: Digraph, x: int, y: int) -> PairType:
     """Relation of the ordered pair (x, y)."""
     if x == y:
         raise DigraphError("pair_type needs two distinct vertices")
+    if not 0 <= x < g.n > y >= 0:
+        raise DigraphError(f"pair_type: ({x}, {y}) out of range for order {g.n}")
     a = g.out_rows[x] >> y & 1
     b = g.in_rows[x] >> y & 1
     return PairType(a | (b << 1))
@@ -195,6 +199,8 @@ def bits_of(mask: int) -> Iterator[int]:
 def homogeneous(g: Digraph, x: int, ys: Iterable[int]) -> bool:
     """True iff every ordered pair (x, y) for y in ys has one common type."""
     m = mask_of(ys)
+    if not 0 <= x < g.n or m >> g.n:
+        raise DigraphError(f"homogeneous: vertex out of range for order {g.n}")
     if m >> x & 1:
         raise DigraphError("homogeneous: x must lie outside ys")
     o = g.out_rows[x] & m

@@ -131,24 +131,21 @@ def critical_vertices(g: Digraph) -> CriticalityReport:
     )
 
 
-def _ig_edges(out, inn, n: int) -> set:
-    full = (1 << n) - 1
-    edges = set()
-    for x, y in itertools.combinations(range(n), 2):
-        if _prime_mask(out, inn, full ^ (1 << x) ^ (1 << y)):
-            edges.add((x, y))
-    return edges
-
-
 def indecomposability_graph(g: Digraph) -> SymGraph:
     """Symmetric graph with {x, y} an edge iff deleting both keeps the rest
     indecomposable.  Needs an indecomposable input of order >= 4."""
     if g.n < 4:
         raise DigraphError("indecomposability_graph: need order >= 4")
     out, inn = g.out_rows, g.in_rows
-    if not _prime_mask(out, inn, (1 << g.n) - 1):
+    full = (1 << g.n) - 1
+    if not _prime_mask(out, inn, full):
         raise DigraphError("indecomposability_graph: graph is decomposable")
-    return SymGraph(g.n, frozenset(_ig_edges(out, inn, g.n)))
+    edges = frozenset(
+        (x, y)
+        for x, y in itertools.combinations(range(g.n), 2)
+        if _prime_mask(out, inn, full ^ (1 << x) ^ (1 << y))
+    )
+    return SymGraph(g.n, edges)
 
 
 def support(ig: SymGraph) -> SupportResult:
@@ -301,30 +298,24 @@ def check_lemma21(g: Digraph) -> dict:
 
     Degree 1 with neighbor y forces everything except {x, y} to be an
     interval once x is gone; degree 2 with neighbors {y, z} forces {y, z}
-    itself.  Returns {critical vertex: bool}; needs an indecomposable input
+    itself.  Reads the critical vertices from critical_vertices and I(G)
+    from indecomposability_graph, whose DigraphError a decomposable input
+    raises.  Returns {critical vertex: bool}; needs an indecomposable input
     of order >= 5.
     """
     if g.n < 5:
         raise DigraphError("check_lemma21: need order >= 5")
+    critical = critical_vertices(g).critical
+    ig = indecomposability_graph(g)
     out, inn = g.out_rows, g.in_rows
     full = (1 << g.n) - 1
-    if not _prime_mask(out, inn, full):
-        raise DigraphError("check_lemma21: graph is decomposable")
-    edges = _ig_edges(out, inn, g.n)
-    nbrs: dict = {v: [] for v in range(g.n)}
-    for x, y in edges:
-        nbrs[x].append(y)
-        nbrs[y].append(x)
     results: dict = {}
-    for x in range(g.n):
-        if _prime_mask(out, inn, full ^ (1 << x)):
-            continue  # not critical
-        around = nbrs[x]
+    for x in critical:
+        around = ig.neighbors(x)
+        universe = full ^ (1 << x)
         if len(around) > 2:
             results[x] = False
-            continue
-        universe = full ^ (1 << x)
-        if len(around) == 1:
+        elif len(around) == 1:
             claim = universe ^ (1 << around[0])
             results[x] = _is_interval_mask(out, inn, claim, universe)
         elif len(around) == 2:

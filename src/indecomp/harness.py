@@ -4,12 +4,20 @@ Exhaustive mode sweeps every labeled pair-type assignment of a given order
 with vectorized kernels: indecomposability is decided twice (splitter
 closure and subset enumeration, which must agree), criticality and the
 structural audits run on top, and every defect-one find is recorded by
-canonical code.  Random mode samples assignments from a seeded generator
-and runs the same audits one graph at a time, plus one-pair mutants of the
-family members of that order.  Chunking is fixed by sample count, never by
-worker count, so reports are reproducible at any parallelism.
-"""
+canonical code.  Each row's verdict comes from the kernels; on a fixed
+sample of rows the kernel_reference audit compares it with classify() and
+the per-graph primality routines.  Random mode samples assignments from a
+seeded generator and runs the same audits one graph at a time, plus
+one-pair mutants of the family members of that order; every graph's
+verdict is classify()'s, so the verdict ladder lives only in the
+classifier.
 
+Both modes cut the work into chunks fixed by sample count, never by worker
+count, so reports are reproducible at any parallelism.  One runner computes
+the chunks, in a fork pool of at most one process per chunk when workers >
+1, and one loop merges them in chunk order.  A report's failures count is
+the sum of the failed audit tallies.
+"""
 from __future__ import annotations
 
 import itertools
@@ -30,7 +38,7 @@ from .classifier import (
     classify,
 )
 from .core import Digraph, DigraphError, canonical_code, mask_of, pair_type
-from .criticality import check_lemma21, critical_vertices
+from .criticality import check_lemma21
 from .families import MAX_ENUM_ORDER, enum_family_members
 from .modular import (
     SUBSET_ORACLE_BOUND,
@@ -49,6 +57,9 @@ EXHAUSTIVE_LONG_RUN_BOUND = 6
 RANDOM_ORDER_BOUND = 12
 EXHAUSTIVE_CHUNK = 1 << 18
 RANDOM_CHUNK = 2000
+# every KERNEL_SAMPLE_STRIDE-th row of an exhaustive chunk is re-decided by
+# the per-graph reference routines (the kernel_reference audit)
+KERNEL_SAMPLE_STRIDE = 4096
 
 AUDIT_NAMES = (
     "indec_dual_route",
@@ -63,6 +74,11 @@ AUDIT_NAMES = (
 
 _REVERSED_DIGIT = np.array([0, 2, 1, 3], dtype=np.uint8)
 
+# Exhaustive orders stay below 7, where family matching begins, so a
+# defect-one graph is out of scope there.  An exhaustive chunk's row verdict
+# indexes this tuple: 0 when decomposable, else 1 + min(defect, 2).
+_EXHAUSTIVE_VERDICTS = (DECOMPOSABLE, CRITICAL, OUT_OF_SCOPE_ORDER, MINUS_K_CRITICAL)
+
 
 @dataclass
 class SurveyReport:
@@ -72,7 +88,9 @@ class SurveyReport:
     samples, seed) regardless of worker count.  verdict_counts always sums
     to visited; audits maps audit name to {'checked': n, 'failed': n};
     defect_one_codes lists the canonical codes (hex, deduplicated, sorted)
-    of every defect-one graph encountered.
+    of every defect-one graph encountered.  failures sums the failed audit
+    counts; a theorem_violation verdict is one of them, a failed
+    family_classification.
     """
 
     order: int
@@ -89,9 +107,7 @@ class SurveyReport:
 
     @property
     def failures(self) -> int:
-        return sum(t["failed"] for t in self.audits.values()) + self.verdict_counts.get(
-            THEOREM_VIOLATION, 0
-        )
+        return sum(t["failed"] for t in self.audits.values())
 
     @property
     def ok(self) -> bool:
@@ -116,41 +132,6 @@ class SurveyReport:
 
 def _new_tallies() -> dict:
     return {name: {"checked": 0, "failed": 0} for name in AUDIT_NAMES}
-
-
-def _merge_chunk(acc: dict, part: dict) -> None:
-    acc["visited"] += part["visited"]
-    for verdict, count in part["verdicts"].items():
-        acc["verdicts"][verdict] = acc["verdicts"].get(verdict, 0) + count
-    for name, tally in part["audits"].items():
-        acc["audits"][name]["checked"] += tally["checked"]
-        acc["audits"][name]["failed"] += tally["failed"]
-    acc["codes"] |= part["codes"]
-    acc["mutants"] += part.get("mutants", 0)
-
-
-def _finish_report(
-    acc: dict,
-    order: int,
-    mode: str,
-    seeds: tuple,
-    samples: int,
-    workers: int,
-    started: float,
-) -> SurveyReport:
-    return SurveyReport(
-        order=order,
-        mode=mode,
-        visited=acc["visited"],
-        verdict_counts=acc["verdicts"],
-        audits=acc["audits"],
-        defect_one_codes=tuple(sorted(acc["codes"])),
-        seeds=seeds,
-        samples=samples,
-        mutants=acc["mutants"],
-        workers=workers,
-        elapsed=time.time() - started,
-    )
 
 
 # -- vectorized exhaustive kernel ---------------------------------------------------
@@ -385,7 +366,7 @@ def _kernel_critical_audit(
 
 
 def _exhaustive_chunk(args: tuple) -> dict:
-    order, lo, hi, sample_stride = args
+    order, lo, hi = args
     pairs = list(itertools.combinations(range(order), 2))
     idx = np.arange(lo, hi, dtype=np.int64)
     digits = np.empty((idx.shape[0], len(pairs)), dtype=np.uint8)
@@ -407,12 +388,9 @@ def _exhaustive_chunk(args: tuple) -> dict:
     defect = np.zeros(k.count, dtype=np.int8)
     for x in range(order):
         defect += noncrit[x]
-
+    verdict = (np.minimum(defect, 2) + 1) * whole
     verdicts = {
-        DECOMPOSABLE: int((~whole).sum()),
-        CRITICAL: int((whole & (defect == 0)).sum()),
-        MINUS_K_CRITICAL: int((whole & (defect >= 2)).sum()),
-        OUT_OF_SCOPE_ORDER: int((whole & (defect == 1)).sum()),
+        name: int((verdict == i).sum()) for i, name in enumerate(_EXHAUSTIVE_VERDICTS)
     }
 
     _kernel_partition_audit(k, tallies)
@@ -425,33 +403,17 @@ def _exhaustive_chunk(args: tuple) -> dict:
 
     # tie the kernels back to the per-graph reference implementations on a
     # deterministic sample of rows
-    for row in range(0, k.count, sample_stride):
+    for row in range(0, k.count, KERNEL_SAMPLE_STRIDE):
         g = k.graph_at(row)
-        ok = True
         ref_prime = is_indecomposable(g)
-        if ref_prime != bool(closure[row]) or ref_prime != bool(oracle[row]):
-            ok = False
+        outcome = classify(g)
+        ok = (
+            ref_prime == bool(closure[row]) == bool(oracle[row])
+            and outcome.verdict == _EXHAUSTIVE_VERDICTS[verdict[row]]
+            and outcome.defect == (int(defect[row]) if whole[row] else None)
+        )
         if order <= SUBSET_ORACLE_BOUND:
             if (len(nontrivial_intervals(g)) == 0) != ref_prime:
-                ok = False
-        if ref_prime:
-            report = critical_vertices(g)
-            if report.defect != int(defect[row]):
-                ok = False
-            expected = (
-                CRITICAL
-                if report.defect == 0
-                else MINUS_K_CRITICAL
-                if report.defect >= 2
-                else OUT_OF_SCOPE_ORDER
-                if order < 7
-                else None
-            )
-            got = classify(g)
-            if expected is not None and got.verdict != expected:
-                ok = False
-        else:
-            if classify(g).verdict != DECOMPOSABLE:
                 ok = False
         tallies["kernel_reference"]["checked"] += 1
         tallies["kernel_reference"]["failed"] += 0 if ok else 1
@@ -471,7 +433,6 @@ def survey_exhaustive(
     workers: int = 1,
     long_run: bool = False,
     on_chunk: Optional[Callable[[dict], None]] = None,
-    sample_stride: int = 4096,
 ) -> SurveyReport:
     """Audit every labeled pair-type assignment of the given order."""
     bound = EXHAUSTIVE_LONG_RUN_BOUND if long_run else EXHAUSTIVE_BOUND
@@ -480,30 +441,12 @@ def survey_exhaustive(
             f"survey_exhaustive: order must be in 3..{bound}"
             + ("" if long_run else " (pass long_run for 6)")
         )
-    started = time.time()
     total = 4 ** (order * (order - 1) // 2)
     chunks = [
-        (order, lo, min(lo + EXHAUSTIVE_CHUNK, total), sample_stride)
+        (order, lo, min(lo + EXHAUSTIVE_CHUNK, total))
         for lo in range(0, total, EXHAUSTIVE_CHUNK)
     ]
-    acc = {
-        "visited": 0,
-        "verdicts": {},
-        "audits": _new_tallies(),
-        "codes": set(),
-        "mutants": 0,
-    }
-    for part, spec in zip(_run_chunks(_exhaustive_chunk, chunks, workers), chunks):
-        _merge_chunk(acc, part)
-        if on_chunk is not None:
-            on_chunk(
-                {
-                    "chunk": [spec[1], spec[2]],
-                    "visited": part["visited"],
-                    "failures": sum(t["failed"] for t in part["audits"].values()),
-                }
-            )
-    return _finish_report(acc, order, "exhaustive", (), 0, workers, started)
+    return _survey(order, "exhaustive", _exhaustive_chunk, chunks, workers, on_chunk)
 
 
 # -- per-graph audits (random mode) ----------------------------------------------------
@@ -512,15 +455,17 @@ def survey_exhaustive(
 def _audit_graph(
     g: Digraph, audits: tuple, tallies: dict, codes: set
 ) -> str:
-    """Run the selected audits on one graph; returns its verdict name."""
+    """Run the selected audits on one graph, then classify it; returns its
+    verdict name.  family_classification is tallied for every graph that
+    reaches family matching, whatever audits selects."""
     prime = is_indecomposable(g)
     if "indec_dual_route" in audits and g.n <= SUBSET_ORACLE_BOUND:
         oracle = len(nontrivial_intervals(g)) == 0
         tallies["indec_dual_route"]["checked"] += 1
         if oracle != prime:
             tallies["indec_dual_route"]["failed"] += 1
+    out, inn = g.out_rows, g.in_rows
     if "outside_partition" in audits or "extension_rules" in audits:
-        out, inn = g.out_rows, g.in_rows
         for size in (3, 4):
             if size > g.n - 1:
                 continue
@@ -544,10 +489,7 @@ def _audit_graph(
                             rules["checked"] += check_outside_rules(g, part)
                         except TheoremViolation:
                             rules["failed"] += 1
-    if not prime:
-        return DECOMPOSABLE
-    out, inn = g.out_rows, g.in_rows
-    if "two_vertex_extension" in audits:
+    if prime and "two_vertex_extension" in audits:
         for size in (3, 4):
             if g.n - size < 2:
                 continue
@@ -559,31 +501,26 @@ def _audit_graph(
                     extend_by_two(g, xs)
                 except TheoremViolation:
                     tallies["two_vertex_extension"]["failed"] += 1
-    if "small_indecomposable" in audits and g.n >= 5:
+    if prime and "small_indecomposable" in audits and g.n >= 5:
         for a in range(g.n):
             tallies["small_indecomposable"]["checked"] += 1
             try:
                 small_indecomposable_around(g, a)
             except TheoremViolation:
                 tallies["small_indecomposable"]["failed"] += 1
-    if "critical_vertex_rules" in audits and g.n >= 5:
+    if prime and "critical_vertex_rules" in audits and g.n >= 5:
         results = check_lemma21(g)
         tallies["critical_vertex_rules"]["checked"] += len(results)
         tallies["critical_vertex_rules"]["failed"] += sum(
             1 for ok in results.values() if not ok
         )
-    report = critical_vertices(g)
-    if report.defect == 0:
-        return CRITICAL
-    if report.defect >= 2:
-        return MINUS_K_CRITICAL
-    codes.add(canonical_code(g).hex())
-    if g.n < 7:
-        return OUT_OF_SCOPE_ORDER
     outcome = classify(g)
-    tallies["family_classification"]["checked"] += 1
-    if outcome.verdict == THEOREM_VIOLATION:
-        tallies["family_classification"]["failed"] += 1
+    if outcome.defect == 1:
+        codes.add(canonical_code(g).hex())
+    if outcome.verdict in (MINUS_ONE_CRITICAL, THEOREM_VIOLATION):
+        tallies["family_classification"]["checked"] += 1
+        if outcome.verdict == THEOREM_VIOLATION:
+            tallies["family_classification"]["failed"] += 1
     return outcome.verdict
 
 
@@ -598,62 +535,47 @@ def _random_graph(order: int, pairs: list, rng) -> Digraph:
     return Digraph(order, out_rows)
 
 
+def _mutant(g: Digraph, pairs: list, rng) -> Digraph:
+    """g with one random pair set to a random type other than its own."""
+    x, y = pairs[int(rng.integers(0, len(pairs)))]
+    old = int(pair_type(g, x, y))
+    new = int(rng.integers(0, 3))
+    if new >= old:
+        new += 1
+    out_rows = list(g.out_rows)
+    out_rows[x] &= ~(1 << y)
+    out_rows[y] &= ~(1 << x)
+    if new in (1, 3):
+        out_rows[x] |= 1 << y
+    if new in (2, 3):
+        out_rows[y] |= 1 << x
+    return Digraph(g.n, out_rows)
+
+
 def _random_chunk(args: tuple) -> dict:
+    """Audit one random-mode chunk: count seeded samples, or, when count is
+    None, one seeded one-pair mutant of every family member of the order."""
     order, seed, chunk_index, count, audits = args
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
     )
     pairs = list(itertools.combinations(range(order), 2))
+    if count is None:
+        graphs = [_mutant(m.graph, pairs, rng) for m in enum_family_members(order)]
+    else:
+        graphs = [_random_graph(order, pairs, rng) for _ in range(count)]
     tallies = _new_tallies()
     verdicts: dict = {}
     codes: set = set()
-    for _ in range(count):
-        g = _random_graph(order, pairs, rng)
+    for g in graphs:
         verdict = _audit_graph(g, audits, tallies, codes)
         verdicts[verdict] = verdicts.get(verdict, 0) + 1
     return {
-        "visited": count,
+        "visited": len(graphs),
         "verdicts": verdicts,
         "audits": tallies,
         "codes": codes,
-        "mutants": 0,
-    }
-
-
-def _mutant_chunk(args: tuple) -> dict:
-    order, seed, chunk_index, audits = args
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
-    )
-    pairs = list(itertools.combinations(range(order), 2))
-    tallies = _new_tallies()
-    verdicts: dict = {}
-    codes: set = set()
-    members = enum_family_members(order)
-    for member in members:
-        g = member.graph
-        p = int(rng.integers(0, len(pairs)))
-        x, y = pairs[p]
-        old = int(pair_type(g, x, y))
-        new = int(rng.integers(0, 3))
-        if new >= old:
-            new += 1
-        out_rows = list(g.out_rows)
-        out_rows[x] &= ~(1 << y)
-        out_rows[y] &= ~(1 << x)
-        if new in (1, 3):
-            out_rows[x] |= 1 << y
-        if new in (2, 3):
-            out_rows[y] |= 1 << x
-        mutant = Digraph(order, out_rows)
-        verdict = _audit_graph(mutant, audits, tallies, codes)
-        verdicts[verdict] = verdicts.get(verdict, 0) + 1
-    return {
-        "visited": len(members),
-        "verdicts": verdicts,
-        "audits": tallies,
-        "codes": codes,
-        "mutants": len(members),
+        "mutants": len(graphs) if count is None else 0,
     }
 
 
@@ -671,7 +593,10 @@ def survey_random(
     family member of the order (when any exist).
 
     The seed must be nonnegative; audits, when given, names a subset of
-    AUDIT_NAMES (all of them by default)."""
+    AUDIT_NAMES (all of them by default).  family_classification is
+    tallied whatever audits selects, because every survey classifies its
+    graphs to get their verdicts; a theorem_violation verdict is its failure
+    and counts once in the report's failures."""
     if not 3 <= order <= RANDOM_ORDER_BOUND:
         raise DigraphError(f"survey_random: order must be in 3..{RANDOM_ORDER_BOUND}")
     if samples < 0:
@@ -686,60 +611,80 @@ def survey_random(
             f"survey_random: unknown audits {unknown} (choose from: "
             + ", ".join(AUDIT_NAMES) + ")"
         )
-    started = time.time()
-    chunks = []
-    index = 0
-    remaining = samples
-    while remaining > 0:
-        size = min(RANDOM_CHUNK, remaining)
-        chunks.append((order, seed, index, size, tuple(audits)))
-        remaining -= size
-        index += 1
-    specs = [(_random_chunk, c) for c in chunks]
+    audits = tuple(audits)
+    chunks = [
+        (order, seed, index, min(RANDOM_CHUNK, samples - lo), audits)
+        for index, lo in enumerate(range(0, samples, RANDOM_CHUNK))
+    ]
     if mutate_members and 7 <= order <= MAX_ENUM_ORDER:
-        specs.append((_mutant_chunk, (order, seed, index, tuple(audits))))
-    acc = {
-        "visited": 0,
-        "verdicts": {},
-        "audits": _new_tallies(),
-        "codes": set(),
-        "mutants": 0,
-    }
-    runners = [fn for fn, _ in specs]
-    args = [a for _, a in specs]
-    for i, part in enumerate(_run_mixed_chunks(runners, args, workers)):
-        _merge_chunk(acc, part)
-        if on_chunk is not None:
-            on_chunk(
-                {
-                    "chunk": i,
-                    "visited": part["visited"],
-                    "mutants": part.get("mutants", 0),
-                    "failures": sum(t["failed"] for t in part["audits"].values()),
-                }
-            )
-    return _finish_report(
-        acc, order, "random", (seed,), samples, workers, started
+        chunks.append((order, seed, len(chunks), None, audits))
+    return _survey(
+        order, "random", _random_chunk, chunks, workers, on_chunk,
+        seeds=(seed,), samples=samples,
     )
 
 
-def _dispatch_mixed(packed: tuple) -> dict:
-    fn, args = packed
-    return fn(args)
+# -- chunk running, shared by both modes -------------------------------------------------
 
 
-def _run_chunks(fn: Callable, chunk_args: list, workers: int):
-    return _run_mixed_chunks([fn] * len(chunk_args), chunk_args, workers)
-
-
-def _run_mixed_chunks(fns: list, chunk_args: list, workers: int):
-    packed = list(zip(fns, chunk_args))
-    if workers <= 1 or len(packed) <= 1:
-        for item in packed:
-            yield _dispatch_mixed(item)
+def _run_chunks(fn: Callable, chunks: list, workers: int):
+    """Yield fn(chunk) for each chunk in order; with workers > 1 a fork pool
+    of at most one process per chunk computes them."""
+    if workers <= 1 or len(chunks) <= 1:
+        yield from map(fn, chunks)
         return
-    with get_context("fork").Pool(workers) as pool:
-        yield from pool.imap(_dispatch_mixed, packed)
+    with get_context("fork").Pool(min(workers, len(chunks))) as pool:
+        yield from pool.imap(fn, chunks)
+
+
+def _survey(
+    order: int,
+    mode: str,
+    fn: Callable,
+    chunks: list,
+    workers: int,
+    on_chunk: Optional[Callable[[dict], None]],
+    *,
+    seeds: tuple = (),
+    samples: int = 0,
+) -> SurveyReport:
+    """Run the chunks, merge their tallies in chunk order, and pass one
+    record per chunk to on_chunk: its [lo, hi) row range in exhaustive
+    mode, its index and mutant count in random mode."""
+    started = time.time()
+    visited, mutants, verdicts, codes = 0, 0, {}, set()
+    audits = _new_tallies()
+    for spec, part in zip(chunks, _run_chunks(fn, chunks, workers)):
+        visited += part["visited"]
+        mutants += part["mutants"]
+        for verdict, count in part["verdicts"].items():
+            verdicts[verdict] = verdicts.get(verdict, 0) + count
+        for name, tally in part["audits"].items():
+            audits[name]["checked"] += tally["checked"]
+            audits[name]["failed"] += tally["failed"]
+        codes |= part["codes"]
+        if on_chunk is not None:
+            failures = sum(t["failed"] for t in part["audits"].values())
+            if mode == "exhaustive":
+                record = {"chunk": [spec[1], spec[2]], "visited": part["visited"],
+                          "failures": failures}
+            else:
+                record = {"chunk": spec[2], "visited": part["visited"],
+                          "mutants": part["mutants"], "failures": failures}
+            on_chunk(record)
+    return SurveyReport(
+        order=order,
+        mode=mode,
+        visited=visited,
+        verdict_counts=verdicts,
+        audits=audits,
+        defect_one_codes=tuple(sorted(codes)),
+        seeds=seeds,
+        samples=samples,
+        mutants=mutants,
+        workers=workers,
+        elapsed=time.time() - started,
+    )
 
 
 # -- generator/classifier round trip -----------------------------------------------------

@@ -184,9 +184,10 @@ def test_roundtrip_cli(capsys):
 
 
 def test_roundtrip_rejects_bad_range(capsys):
-    code, _, err = run(capsys, "roundtrip", "--orders", "6..7")
-    assert code == 2
-    assert "error:" in err
+    for text in ("6..7", "abc", "7.."):
+        code, _, err = run(capsys, "roundtrip", "--orders", text)
+        assert code == 2
+        assert "error:" in err
 
 
 def test_parse_orders():

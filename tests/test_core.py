@@ -85,6 +85,10 @@ def test_pair_type_lookup():
     assert pair_type(g2, 0, 1) is MUTUAL
     with pytest.raises(DigraphError):
         pair_type(g, 1, 1)
+    # out-of-range vertices once answered for vertex n - 1 or as ABSENT
+    for x, y in ((-1, 0), (0, -1), (0, g.n), (g.n, 0)):
+        with pytest.raises(DigraphError):
+            pair_type(g, x, y)
 
 
 def test_pairs_equivalent():
@@ -110,6 +114,9 @@ def test_arcs_and_counts():
     assert sorted(g.arcs()) == sorted(H3_ARCS)
     assert g.arc_count() == 2
     assert g.has_arc(0, 1) and not g.has_arc(1, 0)
+    for x, y in ((-1, 0), (0, -1), (0, g.n), (g.n, 0)):
+        with pytest.raises(DigraphError):
+            g.has_arc(x, y)
 
 
 def test_in_rows_match_out_rows():
@@ -148,6 +155,9 @@ def test_homogeneous_basic():
     assert not homogeneous(g, 2, [1, 3])     # backward vs forward
     with pytest.raises(DigraphError):
         homogeneous(g, 2, [2, 3])
+    for x, ys in ((0, [1, g.n]), (-1, [1, 2]), (g.n, [1, 2])):
+        with pytest.raises(DigraphError):
+            homogeneous(g, x, ys)
 
 
 def test_homogeneous_agrees_with_pair_types():

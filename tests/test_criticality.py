@@ -282,7 +282,9 @@ def test_check_lemma21_random_indecomposable():
         if nontrivial_intervals(g):
             continue
         done += 1
-        assert all(check_lemma21(g).values())
+        results = check_lemma21(g)
+        assert tuple(results) == critical_vertices(g).critical
+        assert all(results.values())
 
 
 def test_check_lemma21_preconditions():

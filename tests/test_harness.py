@@ -3,8 +3,11 @@ mutation passes, determinism, and the generator round trip."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from indecomp.classifier import MINUS_ONE_CRITICAL, THEOREM_VIOLATION
 from indecomp.core import DigraphError
 from indecomp.harness import (
     AUDIT_NAMES,
@@ -93,6 +96,71 @@ def test_exhaustive_chunk_callback():
     assert len(records) == 1
     assert records[0]["visited"] == 64
     assert records[0]["failures"] == 0
+
+
+def test_exhaustive_chunk_records_pinned(monkeypatch):
+    # recorded before both survey modes shared one chunk runner
+    monkeypatch.setattr(harness, "EXHAUSTIVE_CHUNK", 1024)
+    records = []
+    survey_exhaustive(4, on_chunk=records.append)
+    assert records == [
+        {"chunk": [0, 1024], "visited": 1024, "failures": 0},
+        {"chunk": [1024, 2048], "visited": 1024, "failures": 0},
+        {"chunk": [2048, 3072], "visited": 1024, "failures": 0},
+        {"chunk": [3072, 4096], "visited": 1024, "failures": 0},
+    ]
+    assert all(list(r) == ["chunk", "visited", "failures"] for r in records)
+
+
+def test_kernel_reference_agrees_on_every_row(monkeypatch):
+    monkeypatch.setattr(harness, "KERNEL_SAMPLE_STRIDE", 1)
+    report = survey_exhaustive(4)
+    assert report.audits["kernel_reference"] == {"checked": 4096, "failed": 0}
+
+
+@pytest.mark.parametrize(
+    "name, wrong",
+    [
+        ("classify", lambda real: lambda g: dataclasses.replace(
+            real(g), verdict=THEOREM_VIOLATION)),
+        ("classify", lambda real: lambda g: dataclasses.replace(real(g), defect=-1)),
+        ("is_indecomposable", lambda real: lambda g: not real(g)),
+    ],
+    ids=["wrong_verdict", "wrong_defect", "negated_primality"],
+)
+def test_kernel_reference_catches_disagreement(monkeypatch, name, wrong):
+    monkeypatch.setattr(harness, name, wrong(getattr(harness, name)))
+    tally = survey_exhaustive(3).audits["kernel_reference"]
+    assert tally["checked"] > 0
+    assert tally["failed"] == tally["checked"]
+
+
+def test_pool_sized_by_chunk_count(monkeypatch):
+    requested = []
+
+    class FakePool:
+        def __init__(self, size):
+            requested.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, chunks):
+            return map(fn, chunks)
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(harness, "get_context", lambda method: FakeContext)
+    monkeypatch.setattr(harness, "EXHAUSTIVE_CHUNK", 16)
+    solo = survey_exhaustive(3)
+    assert requested == []
+    assert report_key(survey_exhaustive(3, workers=64)) == report_key(solo)
+    assert report_key(survey_exhaustive(3, workers=2)) == report_key(solo)
+    assert requested == [4, 2]
 
 
 def test_report_json_shape():
@@ -197,6 +265,58 @@ def test_random_defect_one_codes_recorded():
     report = survey_random(7, 0, 31337)
     assert report.defect_one_codes
     assert list(report.defect_one_codes) == sorted(set(report.defect_one_codes))
+
+
+def test_random_chunk_records_pinned(monkeypatch):
+    # recorded before the sample and mutant chunks shared one chunk function
+    monkeypatch.setattr(harness, "RANDOM_CHUNK", 40)
+    records = []
+    report = survey_random(7, 100, 5, on_chunk=records.append)
+    assert records == [
+        {"chunk": 0, "visited": 40, "mutants": 0, "failures": 0},
+        {"chunk": 1, "visited": 40, "mutants": 0, "failures": 0},
+        {"chunk": 2, "visited": 20, "mutants": 0, "failures": 0},
+        {"chunk": 3, "visited": 340, "mutants": 340, "failures": 0},
+    ]
+    assert all(list(r) == ["chunk", "visited", "mutants", "failures"] for r in records)
+    assert report.verdict_counts == {
+        "critical": 1,
+        "decomposable": 35,
+        "minus_k_critical": 384,
+        "minus_one_critical": 20,
+    }
+    assert report.audits == {
+        "critical_vertex_rules": {"checked": 1326, "failed": 0},
+        "extension_rules": {"checked": 13295, "failed": 0},
+        "family_classification": {"checked": 20, "failed": 0},
+        "indec_dual_route": {"checked": 440, "failed": 0},
+        "kernel_reference": {"checked": 0, "failed": 0},
+        "outside_partition": {"checked": 8149, "failed": 0},
+        "small_indecomposable": {"checked": 2835, "failed": 0},
+        "two_vertex_extension": {"checked": 7832, "failed": 0},
+    }
+    assert len(report.defect_one_codes) == 19
+
+
+def test_theorem_violation_counts_once(monkeypatch):
+    # a theorem_violation verdict is a failed family_classification audit;
+    # failures must not count it a second time from the verdicts
+    real = harness.classify
+
+    def demoted(g):
+        outcome = real(g)
+        if outcome.verdict == MINUS_ONE_CRITICAL:
+            return dataclasses.replace(outcome, verdict=THEOREM_VIOLATION)
+        return outcome
+
+    monkeypatch.setattr(harness, "classify", demoted)
+    records = []
+    report = survey_random(7, 0, 2024, on_chunk=records.append)
+    assert report.verdict_counts[THEOREM_VIOLATION] == 18
+    assert report.audits["family_classification"]["failed"] == 18
+    assert report.failures == 18
+    assert sum(r["failures"] for r in records) == 18
+    assert not report.ok
 
 
 def test_random_worker_count_invisible(monkeypatch):
