@@ -4,12 +4,14 @@ Exhaustive mode sweeps every labeled pair-type assignment of a given order
 with vectorized kernels: indecomposability is decided twice (splitter
 closure and subset enumeration, which must agree), criticality and the
 structural audits run on top, and every defect-one find is recorded by
-canonical code.  Each row's verdict comes from the kernels; on a fixed
-sample of rows the kernel_reference audit compares it with classify() and
-the per-graph primality routines.  Random mode samples assignments from a
-seeded generator and runs the same audits one graph at a time, plus
-one-pair mutants of the family members of that order; every graph's
-verdict is classify()'s, so the verdict ladder lives only in the
+canonical code, computed once per isomorphism class in a chunk (rows are
+grouped by a brute-force permutation-minimum key first).  Each row's
+verdict comes from the kernels; on a fixed sample of rows, prime and
+decomposable in turn, the kernel_reference audit compares it with
+classify() and the per-graph primality routines.  Random mode samples
+assignments from a seeded generator and runs the same audits one graph at
+a time, plus one-pair mutants of the family members of that order; every
+graph's verdict is classify()'s, so the verdict ladder lives only in the
 classifier.
 
 Both modes cut the work into chunks fixed by sample count, never by worker
@@ -57,8 +59,8 @@ EXHAUSTIVE_LONG_RUN_BOUND = 6
 RANDOM_ORDER_BOUND = 12
 EXHAUSTIVE_CHUNK = 1 << 18
 RANDOM_CHUNK = 2000
-# every KERNEL_SAMPLE_STRIDE-th row of an exhaustive chunk is re-decided by
-# the per-graph reference routines (the kernel_reference audit)
+# one row per KERNEL_SAMPLE_STRIDE-row window of an exhaustive chunk is
+# re-decided by the per-graph reference routines (the kernel_reference audit)
 KERNEL_SAMPLE_STRIDE = 4096
 
 AUDIT_NAMES = (
@@ -141,8 +143,10 @@ class _Kernel:
     """Pair-type tensor over a block of same-order graphs.
 
     t[g, x, y] holds the type digit of the ordered pair (x, y) in graph g.
-    Subset primality is decided by interval enumeration; the whole-graph
-    closure route is implemented independently in closure_prime().
+    Subset primality is decided by interval enumeration over t.  The
+    whole-graph closure route, closure_prime(), shares nothing with it: it
+    builds its own uint8 neighbour masks from digits and closes seed pairs
+    on bitmasks, dropping each row as soon as a closure falls short.
     """
 
     def __init__(self, order: int, digits: np.ndarray):
@@ -198,26 +202,42 @@ class _Kernel:
 
     def closure_prime(self) -> np.ndarray:
         """Splitter-closure route for the whole graph: indecomposable iff
-        the closure of every seed pair reaches all vertices."""
-        n, count = self.n, self.count
-        result = np.ones(count, dtype=bool)
+        the closure of every seed pair reaches all vertices.
+
+        Works on vertex masks built from digits alone, one pair column at a
+        time: masks[0, z] and masks[1, z] hold, per row, the out- and
+        in-neighbours of z.  z splits a closed set m when out & m or in & m
+        is neither empty nor m; a round adds every splitter, and the closure
+        is done when a round adds nothing.  After each seed pair the mask
+        arrays are compacted to the rows whose closure reached every vertex,
+        so a row found decomposable is never closed again.  The masks are
+        uint8, which holds every exhaustive order (at most 6) and keeps the
+        transient arrays below the peak memory of the audits that follow."""
+        n = self.n
+        masks = np.zeros((2, n, self.count), dtype=np.uint8)
+        for p, (x, y) in enumerate(self.pairs):
+            col = self.digits[:, p]
+            fwd, bwd = col & 1, col >> 1
+            masks[0, x] |= fwd << y
+            masks[1, y] |= fwd << x
+            masks[0, y] |= bwd << x
+            masks[1, x] |= bwd << y
+        full = (1 << n) - 1
+        live = np.arange(self.count)
         for x, y in self.pairs:
-            closed = np.zeros((count, n), dtype=bool)
-            closed[:, x] = True
-            closed[:, y] = True
-            for _ in range(n):
-                grew = False
+            m = np.full(live.shape[0], (1 << x) | (1 << y), dtype=np.uint8)
+            while True:
+                before = m.copy()
                 for z in range(n):
-                    # z splits the closed set when it relates to some member
-                    # differently than it relates to seed x
-                    differs = (self.t[:, z, :] != self.t[:, z, x : x + 1]) & closed
-                    splits = differs.any(axis=1) & ~closed[:, z]
-                    if splits.any():
-                        closed[:, z] |= splits
-                        grew = True
-                if not grew:
+                    a, b = masks[0, z] & m, masks[1, z] & m
+                    splits = (a != 0) & (a != m) | (b != 0) & (b != m)
+                    m |= splits * np.uint8(1 << z)
+                if np.array_equal(m, before):
                     break
-            result &= closed.sum(axis=1) == n
+            keep = m == full
+            live, masks = live[keep], masks.compress(keep, axis=2)
+        result = np.zeros(self.count, dtype=bool)
+        result[live] = True
         return result
 
     def graph_at(self, row: int) -> Digraph:
@@ -365,6 +385,20 @@ def _kernel_critical_audit(
         tallies["critical_vertex_rules"]["failed"] += int(failed.sum())
 
 
+def _isomorphism_keys(k: _Kernel, rows: np.ndarray) -> np.ndarray:
+    """Brute-force isomorphism key of each given row: the least base-4
+    pair-digit integer over all n! relabelings of its vertices, so two rows
+    share a key exactly when their graphs are isomorphic."""
+    sub = k.t[rows]
+    keys = np.full(rows.shape[0], np.iinfo(np.int64).max, dtype=np.int64)
+    for perm in itertools.permutations(range(k.n)):
+        key = np.zeros(rows.shape[0], dtype=np.int64)
+        for p, (x, y) in enumerate(k.pairs):
+            key |= sub[:, perm[x], perm[y]].astype(np.int64) << (2 * p)
+        np.minimum(keys, key, out=keys)
+    return keys
+
+
 def _exhaustive_chunk(args: tuple) -> dict:
     order, lo, hi = args
     pairs = list(itertools.combinations(range(order), 2))
@@ -397,13 +431,19 @@ def _exhaustive_chunk(args: tuple) -> dict:
     _kernel_existence_audits(k, whole, tallies)
     _kernel_critical_audit(k, whole, noncrit, tallies)
 
-    codes = set()
-    for row in np.nonzero(whole & (defect == 1))[0]:
-        codes.add(canonical_code(k.graph_at(int(row))).hex())
+    # canonical_code once per isomorphism class present in the chunk
+    rows = np.flatnonzero(whole & (defect == 1))
+    _, first = np.unique(_isomorphism_keys(k, rows), return_index=True)
+    codes = {canonical_code(k.graph_at(int(rows[i]))).hex() for i in first}
 
     # tie the kernels back to the per-graph reference implementations on a
-    # deterministic sample of rows
-    for row in range(0, k.count, KERNEL_SAMPLE_STRIDE):
+    # deterministic sample of rows: the first prime row of each even window
+    # of KERNEL_SAMPLE_STRIDE rows, the first decomposable row of each odd
+    # one (the window's first row when none is)
+    for start in range(0, k.count, KERNEL_SAMPLE_STRIDE):
+        want = start // KERNEL_SAMPLE_STRIDE % 2 == 0
+        hits = np.flatnonzero(whole[start : start + KERNEL_SAMPLE_STRIDE] == want)
+        row = start + (int(hits[0]) if hits.size else 0)
         g = k.graph_at(row)
         ref_prime = is_indecomposable(g)
         outcome = classify(g)
@@ -434,7 +474,8 @@ def survey_exhaustive(
     long_run: bool = False,
     on_chunk: Optional[Callable[[dict], None]] = None,
 ) -> SurveyReport:
-    """Audit every labeled pair-type assignment of the given order."""
+    """Audit every labeled pair-type assignment of the given order; workers
+    must be at least 1."""
     bound = EXHAUSTIVE_LONG_RUN_BOUND if long_run else EXHAUSTIVE_BOUND
     if not 3 <= order <= bound:
         raise DigraphError(
@@ -592,11 +633,11 @@ def survey_random(
     """Audit seeded random assignments, plus one-pair mutants of every
     family member of the order (when any exist).
 
-    The seed must be nonnegative; audits, when given, names a subset of
-    AUDIT_NAMES (all of them by default).  family_classification is
-    tallied whatever audits selects, because every survey classifies its
-    graphs to get their verdicts; a theorem_violation verdict is its failure
-    and counts once in the report's failures."""
+    The seed must be nonnegative and workers at least 1; audits, when
+    given, names a subset of AUDIT_NAMES (all of them by default).
+    family_classification is tallied whatever audits selects, because every
+    survey classifies its graphs to get their verdicts; a theorem_violation
+    verdict is its failure and counts once in the report's failures."""
     if not 3 <= order <= RANDOM_ORDER_BOUND:
         raise DigraphError(f"survey_random: order must be in 3..{RANDOM_ORDER_BOUND}")
     if samples < 0:
@@ -651,6 +692,8 @@ def _survey(
     """Run the chunks, merge their tallies in chunk order, and pass one
     record per chunk to on_chunk: its [lo, hi) row range in exhaustive
     mode, its index and mutant count in random mode."""
+    if workers < 1:
+        raise DigraphError(f"survey_{mode}: workers must be at least 1")
     started = time.time()
     visited, mutants, verdicts, codes = 0, 0, {}, set()
     audits = _new_tallies()

@@ -175,6 +175,17 @@ def test_survey_negative_seed(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("mode", [["--exhaustive"], ["--samples", "3"]])
+def test_survey_rejects_worker_count_below_one(capsys, mode, workers):
+    code, out, err = run(capsys, "survey", "--order", "3", *mode,
+                         "--workers", workers)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "workers" in err
+    assert "Traceback" not in err
+
+
 def test_roundtrip_cli(capsys):
     code, out, _ = run(capsys, "roundtrip", "--orders", "7..7")
     assert code == 0

@@ -4,11 +4,14 @@ mutation passes, determinism, and the generator round trip."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import itertools
 
+import numpy as np
 import pytest
 
-from indecomp.classifier import MINUS_ONE_CRITICAL, THEOREM_VIOLATION
-from indecomp.core import DigraphError
+from indecomp.classifier import DECOMPOSABLE, MINUS_ONE_CRITICAL, THEOREM_VIOLATION
+from indecomp.core import DigraphError, canonical_code, pair_type
 from indecomp.harness import (
     AUDIT_NAMES,
     EXHAUSTIVE_BOUND,
@@ -33,6 +36,80 @@ def report_key(report):
         report.samples,
         report.mutants,
     )
+
+
+def exhaustive_kernel(order):
+    """Kernel over every labeled graph of the order, row i being the graph
+    whose base-4 pair-digit integer is i."""
+    npairs = order * (order - 1) // 2
+    idx = np.arange(4 ** npairs)
+    digits = (idx[:, None] >> (2 * np.arange(npairs))) & 3
+    return harness._Kernel(order, digits.astype(np.uint8))
+
+
+def random_kernel(order, rows, seed):
+    npairs = order * (order - 1) // 2
+    rng = np.random.default_rng(seed)
+    return harness._Kernel(order, rng.integers(0, 4, (rows, npairs), dtype=np.uint8))
+
+
+# -- exhaustive kernel --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_closure_prime_matches_subset_prime_on_every_row(order):
+    k = exhaustive_kernel(order)
+    assert np.array_equal(k.closure_prime(), k.subset_prime(range(order)))
+
+
+@pytest.mark.parametrize("order, seed", [(5, 55), (6, 66)])
+def test_closure_prime_matches_subset_prime_on_random_rows(order, seed):
+    k = random_kernel(order, 20_000, seed)
+    closure = k.closure_prime()
+    assert np.array_equal(closure, k.subset_prime(range(order)))
+    assert 0 < closure.sum() < k.count
+
+
+def test_dual_route_catches_a_wrong_closure_route(monkeypatch):
+    # every one of the 4096 - 2460 decomposable order-4 rows must fail
+    monkeypatch.setattr(
+        harness._Kernel, "closure_prime", lambda self: np.ones(self.count, dtype=bool)
+    )
+    report = survey_exhaustive(4)
+    assert report.audits["indec_dual_route"] == {"checked": 4096, "failed": 1636}
+
+
+def test_isomorphism_keys_are_brute_force_minima():
+    k = exhaustive_kernel(4)
+    rows = np.arange(0, k.count, 37)
+    keys = harness._isomorphism_keys(k, rows)
+    for row, key in zip(rows, keys):
+        g = k.graph_at(int(row))
+        assert key == min(
+            sum(int(pair_type(g, s[x], s[y])) << (2 * p) for p, (x, y) in enumerate(k.pairs))
+            for s in itertools.permutations(range(4))
+        )
+        assert key <= row
+
+
+def test_isomorphism_keys_agree_with_canonical_codes():
+    # two order-4 graphs share a canonical code exactly when they share a
+    # permutation-minimum key
+    k = exhaustive_kernel(4)
+    keys = harness._isomorphism_keys(k, np.arange(k.count))
+    codes = [canonical_code(k.graph_at(row)) for row in range(k.count)]
+    pairs = set(zip(keys.tolist(), codes))
+    assert len(pairs) == len(set(keys.tolist())) == len(set(codes))
+
+
+@pytest.mark.parametrize("order, digest", [
+    (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (4, "7c7c12f48e8b98db403c4696dd752d9a56f7599fc14075cca0735e3800a38829"),
+])
+def test_exhaustive_defect_one_codes_pinned(order, digest):
+    # recorded while canonical_code still ran on every defect-one row
+    codes = survey_exhaustive(order).defect_one_codes
+    assert hashlib.sha256("\n".join(codes).encode()).hexdigest() == digest
 
 
 # -- exhaustive mode ----------------------------------------------------------------
@@ -118,6 +195,36 @@ def test_kernel_reference_agrees_on_every_row(monkeypatch):
     assert report.audits["kernel_reference"] == {"checked": 4096, "failed": 0}
 
 
+def record_classify(monkeypatch):
+    """Patch harness.classify to keep every outcome it returns."""
+    seen = []
+    real = harness.classify
+
+    def recording(g):
+        seen.append(real(g))
+        return seen[-1]
+
+    monkeypatch.setattr(harness, "classify", recording)
+    return seen
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_kernel_reference_samples_a_prime_row(monkeypatch, order):
+    seen = record_classify(monkeypatch)
+    report = survey_exhaustive(order)
+    assert report.audits["kernel_reference"] == {"checked": 1, "failed": 0}
+    assert len(seen) == 1 and seen[0].verdict != DECOMPOSABLE
+
+
+def test_kernel_reference_windows_alternate(monkeypatch):
+    # prime-row and decomposable-row windows take turns
+    seen = record_classify(monkeypatch)
+    monkeypatch.setattr(harness, "KERNEL_SAMPLE_STRIDE", 512)
+    report = survey_exhaustive(4)
+    assert report.audits["kernel_reference"] == {"checked": 8, "failed": 0}
+    assert [o.verdict == DECOMPOSABLE for o in seen] == [False, True] * 4
+
+
 @pytest.mark.parametrize(
     "name, wrong",
     [
@@ -161,6 +268,14 @@ def test_pool_sized_by_chunk_count(monkeypatch):
     assert report_key(survey_exhaustive(3, workers=64)) == report_key(solo)
     assert report_key(survey_exhaustive(3, workers=2)) == report_key(solo)
     assert requested == [4, 2]
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_surveys_reject_worker_count_below_one(workers):
+    with pytest.raises(DigraphError, match="workers"):
+        survey_exhaustive(3, workers=workers)
+    with pytest.raises(DigraphError, match="workers"):
+        survey_random(5, 3, 0, workers=workers)
 
 
 def test_report_json_shape():
