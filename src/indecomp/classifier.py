@@ -5,14 +5,16 @@ than one noncritical vertex, too small) directly from the deletion sweeps.
 For a defect-one graph of order >= 7 it reads the shape of the pairwise
 deletion graph and matches the input, by canonical code, against the few
 family parameterizations that could produce that order, shape, and
-noncritical position.  A verified isomorphism witness accompanies every
-family verdict.
+noncritical position.  The candidates are families.family_records, the one
+memo per parameterization that enum_family_members also reads, so a process
+that enumerates and then classifies builds each parameterization once.  A
+verified isomorphism witness accompanies every family verdict; its params
+are the memo's shared dict, to be treated as read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 from .core import (
@@ -28,19 +30,7 @@ from .criticality import (
     recognize_shape,
     support,
 )
-from .families import (
-    FAMILY_H,
-    FAMILY_R,
-    _closure_variants,
-    enum_class_F,
-    enum_class_G,
-    enum_class_Gdprime,
-    enum_class_Gprime,
-    enum_Hstar_even,
-    enum_Hstar_odd,
-    gen_H,
-    gen_R,
-)
+from .families import family_records
 from .modular import is_indecomposable
 
 DECOMPOSABLE = "decomposable"
@@ -90,59 +80,17 @@ class Classification:
     match: Optional[FamilyMatch] = None
 
 
-# -- candidate generation ---------------------------------------------------------
+# -- candidate dispatch ------------------------------------------------------------
 
-
-@lru_cache(maxsize=None)
-def _candidate_records(key: tuple) -> tuple:
-    """Candidates for one family parameterization, closed under complement
-    and dual: tuples (code, family, params, variant, graph)."""
-    kind = key[0]
-    if kind == "H":
-        base = [(FAMILY_H, {"p": key[1]}, gen_H(key[1]))]
-    elif kind == "R":
-        base = [(FAMILY_R, {"n": key[1]}, gen_R(key[1]))]
-    elif kind == "F":
-        base = [(m.family, m.params, m.graph) for m in enum_class_F(key[1], key[2])]
-    elif kind == "G":
-        base = [
-            (m.family, m.params, m.graph)
-            for m in enum_class_G(key[1], key[2], key[3])
-        ]
-    elif kind == "Gp":
-        base = [
-            (m.family, m.params, m.graph)
-            for m in enum_class_Gprime(key[1], key[2])
-        ]
-    elif kind == "Gdp":
-        base = [
-            (m.family, m.params, m.graph)
-            for m in enum_class_Gdprime(key[1], key[2], key[3])
-        ]
-    elif kind == "SO":
-        base = [(m.family, m.params, m.graph) for m in enum_Hstar_odd(key[1])]
-    elif kind == "SE":
-        base = [
-            (m.family, m.params, m.graph)
-            for m in enum_Hstar_even(key[1], key[2])
-        ]
-    else:
-        raise DigraphError(f"unknown candidate key {key!r}")
-    records = []
-    for family, params, graph in base:
-        seen = set()
-        for variant, vg in _closure_variants(graph):
-            code = canonical_code(vg)
-            if code in seen:
-                continue
-            seen.add(code)
-            records.append((code, family, params, variant, vg))
-    return tuple(records)
+# The candidate memo is families.family_records itself; this name is where
+# perfbench/tracer.py reads its hit and miss counts.
+_candidate_records = family_records
 
 
 def _dispatch_keys(order: int, shape: ShapeDescriptor, noncritical: int) -> list:
     """Family parameterizations compatible with the observed order, shape,
-    and position of the noncritical vertex within the shape."""
+    and position of the noncritical vertex within the shape, spelled as
+    families.family_records keys."""
     keys: list = []
     kind = shape.kind
     if kind == "cycle":
@@ -212,25 +160,26 @@ def match_family(
     if not 0 <= noncritical < g.n:
         raise DigraphError(f"match_family: vertex {noncritical} out of range")
     code = canonical_code(g)
-    hits = []
-    for key in _dispatch_keys(g.n, shape, noncritical):
-        for rec_code, family, params, variant, vg in _candidate_records(key):
-            if rec_code == code:
-                hits.append((family, params, variant, vg))
+    hits = [
+        record
+        for key in _dispatch_keys(g.n, shape, noncritical)
+        for record in family_records(key)
+        if record[0] == code
+    ]
     if not hits:
         return None
-    family, params, variant, vg = hits[0]
-    witness = find_isomorphism(vg, g)
+    _, variant, params, member = hits[0]
+    witness = find_isomorphism(member.graph, g)
     if witness is None:
         raise DigraphError("match_family: canonical code matched without isomorphism")
     return FamilyMatch(
-        family=family,
+        family=member.family,
         params=params,
         witness=witness,
         shape=shape,
         noncritical=noncritical,
         variant=variant,
-        all_hits=tuple((f, v) for f, _, v, _ in hits),
+        all_hits=tuple((m.family, v) for _, v, _, m in hits),
     )
 
 

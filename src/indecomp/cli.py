@@ -18,6 +18,7 @@ from typing import Optional
 
 from .classifier import OUT_OF_SCOPE_ORDER, classify
 from .core import (
+    CANONICAL_BOUND,
     Digraph,
     DigraphError,
     canonical_code,
@@ -180,7 +181,8 @@ def _cmd_check(args) -> int:
         data["critical"] = list(report.critical)
         data["noncritical"] = list(report.noncritical)
         data["defect"] = report.defect
-        data["canonical_code"] = canonical_code(g).hex()
+        if g.n <= CANONICAL_BOUND:
+            data["canonical_code"] = canonical_code(g).hex()
     _emit(data)
     return 0
 

@@ -50,6 +50,9 @@ BACKWARD = PairType.BACKWARD
 MUTUAL = PairType.MUTUAL
 ABSENT = PairType.ABSENT
 
+# Default order bound of canonical_code.
+CANONICAL_BOUND = 16
+
 
 class Digraph:
     """Immutable digraph on vertices 0..n-1 backed by two bit matrices.
@@ -295,7 +298,7 @@ def _individualize(colors: list, v: int) -> list:
     ]
 
 
-def canonical_code(g: Digraph, *, bound: int = 16) -> bytes:
+def canonical_code(g: Digraph, *, bound: int = CANONICAL_BOUND) -> bytes:
     """Canonical byte string: equal codes iff the graphs are isomorphic.
 
     Minimizes the pair-type matrix over vertex orderings consistent with

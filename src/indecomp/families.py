@@ -4,17 +4,26 @@ Every enumerator returns FamilyMember records: the built graph plus the
 claims made for it (which vertex is the unique noncritical one, and what
 the pairwise-deletion graph looks like).  In checked mode the claims are
 re-verified against the criticality module on construction.
+
+family_records(key) is the one memo per family parameterization: its base
+members with their complement/dual twins and canonical codes, built once
+per process.  enum_family_members unions it over an order's keys
+(_family_keys) and classifier.match_family reads it for the keys its shape
+dispatch selects, so members, their params and the memo's records are
+shared objects to be treated as read-only.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 from .core import (
     ABSENT,
     BACKWARD,
+    CANONICAL_BOUND,
     Digraph,
     DigraphError,
     FORWARD,
@@ -45,7 +54,7 @@ TYPE_LETTER = {FORWARD: "F", BACKWARD: "B", MUTUAL: "M", ABSENT: "A"}
 
 # Largest order enum_family_members will expand (canonical codes are exact
 # up to this order).
-MAX_ENUM_ORDER = 16
+MAX_ENUM_ORDER = CANONICAL_BOUND
 
 FAMILY_T = "gen_T"
 FAMILY_U = "gen_U"
@@ -823,86 +832,117 @@ def _closure_variants(g: Digraph) -> list:
     ]
 
 
-def enum_family_members(order: int, *, checked: bool = False) -> list:
-    """Every defect-one graph of the given order, up to isomorphism: the
-    union of all generators at matching parameters, closed under complement
-    and dual, deduplicated by canonical code."""
-    if not 7 <= order <= MAX_ENUM_ORDER:
-        raise DigraphError(
-            f"enum_family_members: order must be in 7..{MAX_ENUM_ORDER}"
-        )
-    base: list = []
+def _named_H(p: int) -> list:
+    cycle = _path_edges(2 * p) + [(0, 2 * p)]
+    return [_member(gen_H(p), FAMILY_H, {"p": p}, 0, cycle, False)]
 
+
+def _named_R(n: int) -> list:
+    return [
+        _member(gen_R(n), FAMILY_R, {"n": n}, 2 * n, _path_edges(2 * n - 1), False)
+    ]
+
+
+# Family key kind -> generator of the parameterization's base members; a key
+# is the kind followed by the generator's positional arguments.
+_KEY_GENERATORS = {
+    "H": _named_H,
+    "R": _named_R,
+    "F": enum_class_F,
+    "G": enum_class_G,
+    "Gp": enum_class_Gprime,
+    "Gdp": enum_class_Gdprime,
+    "SO": enum_Hstar_odd,
+    "SE": enum_Hstar_even,
+}
+
+
+def _family_keys(order: int) -> Iterator[tuple]:
+    """Every family parameterization producing members of the given order,
+    in enumeration order: H, R, F, G, G', G'', odd stars, even stars."""
     if order % 2 == 1:
-        p = (order - 1) // 2
-        cycle = _path_edges(2 * p) + [(0, 2 * p)]
-        base.append(
-            _member(gen_H(p), FAMILY_H, {"p": p}, 0, cycle, checked)
-        )
-        n = (order - 1) // 2
-        base.append(
-            _member(
-                gen_R(n),
-                FAMILY_R,
-                {"n": n},
-                2 * n,
-                _path_edges(2 * n - 1),
-                checked,
-            )
-        )
-
+        yield ("H", (order - 1) // 2)
+        yield ("R", (order - 1) // 2)
     for ext_size in (0, 1, 2):
         m = order - 1 - ext_size
         if m >= 2:
-            base.extend(enum_class_F(m, ext_size, checked=checked))
-
+            yield ("F", m, ext_size)
     for with_alpha in (False, True):
         rem = order - 2 - (1 if with_alpha else 0)
         if rem % 2 == 0 and rem >= 2:
-            n = rem // 2
-            for k in range(n):
-                base.extend(enum_class_G(n, k, with_alpha, checked=checked))
-
+            for k in range(rem // 2):
+                yield ("G", rem // 2, k, with_alpha)
     if order % 2 == 1:
-        n = (order - 1) // 2
-        for k in range(n):
-            base.extend(enum_class_Gprime(n, k, checked=checked))
-
+        for k in range((order - 1) // 2):
+            yield ("Gp", (order - 1) // 2, k)
     for ext_size in (0, 1, 2):
         rem = order - 1 - ext_size
         if rem % 2 == 0 and rem >= 4:
-            n = rem // 2
-            for k in range(1, n):
-                base.extend(enum_class_Gdprime(n, k, ext_size, checked=checked))
-
+            for k in range(1, rem // 2):
+                yield ("Gdp", rem // 2, k, ext_size)
     for profile in _star_profiles_odd(order - 1):
-        base.extend(enum_Hstar_odd(profile, checked=checked))
+        yield ("SO", profile)
     if order % 2 == 1:
         for profile in _star_profiles_even(order - 1):
-            base.extend(enum_Hstar_even(profile, False, checked=checked))
+            yield ("SE", profile, False)
     else:
         for profile in _star_profiles_even(order - 2):
-            base.extend(enum_Hstar_even(profile, True, checked=checked))
+            yield ("SE", profile, True)
 
-    out: list = []
-    seen: set = set()
-    for mem in base:
-        for variant, graph in _closure_variants(mem.graph):
+
+@lru_cache(maxsize=None)
+def family_records(key: tuple) -> tuple:
+    """The unchecked members of one family parameterization, closed under
+    complement and dual: tuples (code, variant, params, member).
+
+    Each base member is followed by those of its complement/dual twins whose
+    canonical code differs from its own and from the earlier twins'.  params
+    is the parameterization shared by a base member and its twins; a twin's
+    member.params adds its "variant".  Built once per key and process, so
+    the records and their members are shared: treat them as read-only.
+    """
+    generate = _KEY_GENERATORS.get(key[0])
+    if generate is None:
+        raise DigraphError(f"unknown family key {key!r}")
+    records = []
+    for base in generate(*key[1:]):
+        seen = set()
+        for variant, graph in _closure_variants(base.graph):
             code = canonical_code(graph)
             if code in seen:
                 continue
             seen.add(code)
-            if variant == "base":
-                out.append(mem)
-            else:
-                twin = FamilyMember(
-                    graph=graph,
-                    family=mem.family,
-                    params={**mem.params, "variant": variant},
-                    claimed_noncritical=mem.claimed_noncritical,
-                    claimed_shape=mem.claimed_shape,
+            member = base
+            if variant != "base":
+                member = replace(
+                    base, graph=graph, params={**base.params, "variant": variant}
                 )
-                if checked:
-                    verify_member_claims(twin)
-                out.append(twin)
+            records.append((code, variant, base.params, member))
+    return tuple(records)
+
+
+def enum_family_members(order: int, *, checked: bool = False) -> list:
+    """Every defect-one graph of the given order, up to isomorphism: the
+    union of family_records over all parameterizations of the order,
+    deduplicated by canonical code.
+
+    The members come from the per-parameterization memo, so they and their
+    params are shared between calls (and with classify): treat them as
+    read-only.  The returned list itself is new on every call.  In checked
+    mode every base member and every kept twin is verified on each call.
+    """
+    if not 7 <= order <= MAX_ENUM_ORDER:
+        raise DigraphError(
+            f"enum_family_members: order must be in 7..{MAX_ENUM_ORDER}"
+        )
+    out: list = []
+    seen: set = set()
+    for key in _family_keys(order):
+        for code, variant, _, member in family_records(key):
+            kept = code not in seen
+            if checked and (kept or variant == "base"):
+                verify_member_claims(member)
+            if kept:
+                seen.add(code)
+                out.append(member)
     return out

@@ -39,6 +39,7 @@ from indecomp.families import (
     enum_class_Gdprime,
     enum_family_members,
     enum_Hstar_even,
+    family_records,
     gen_H,
     gen_Q5,
     gen_R,
@@ -128,10 +129,24 @@ def relabel_match_graph(match, g):
 
     code = canonical_code(g)
     for key in _dispatch_keys(g.n, match.shape, match.noncritical):
-        for rec_code, family, params, variant, vg in _candidate_records(key):
+        for rec_code, variant, params, member in _candidate_records(key):
+            family, vg = member.family, member.graph
             if rec_code == code and family == match.family:
                 return relabel(vg, list(match.witness)) == g
     return False
+
+
+def test_classify_reads_the_enumeration_memo():
+    from indecomp.classifier import _candidate_records
+
+    assert _candidate_records is family_records
+    family_records.cache_clear()
+    members = enum_family_members(7) + enum_family_members(8)
+    misses = family_records.cache_info().misses
+    for m in members:
+        assert classify(m.graph).verdict == MINUS_ONE_CRITICAL
+    # dispatch keys spelled differently from the enumeration's would miss
+    assert family_records.cache_info().misses == misses
 
 
 def test_match_family_none_for_wrong_position():

@@ -9,7 +9,7 @@ import pytest
 
 from indecomp.cli import _parse_orders, main
 from indecomp.core import parse_dg, serialize_dg
-from indecomp.families import gen_H, gen_R
+from indecomp.families import gen_H, gen_R, gen_T
 
 
 def run(capsys, *argv):
@@ -102,6 +102,19 @@ def test_check_decomposable_graph(capsys, tmp_path):
     assert data["indecomposable"] is False
     assert "defect" not in data
     assert data["nontrivial_intervals"] > 0
+
+
+def test_check_above_canonical_bound(capsys, tmp_path):
+    # order 19: the report omits the canonical code instead of failing
+    path = write_graph(tmp_path, gen_T(9))
+    code, out, err = run(capsys, "check", path)
+    assert code == 0 and not err
+    data = json.loads(out)
+    assert data["order"] == 19
+    assert data["defect"] == 0
+    assert data["noncritical"] == [] and len(data["critical"]) == 19
+    assert "canonical_code" not in data
+    assert "nontrivial_intervals" not in data
 
 
 def test_check_missing_file(capsys, tmp_path):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
 
+from indecomp import families
 from indecomp.core import (
     DigraphError,
     MUTUAL,
@@ -27,6 +30,7 @@ from indecomp.families import (
     enum_family_members,
     enum_Hstar_even,
     enum_Hstar_odd,
+    family_records,
     gen_H,
     gen_Q5,
     gen_R,
@@ -337,8 +341,65 @@ def test_enum_family_members_contains_named_graphs():
 
 def test_enum_family_members_deterministic():
     first = [serialize_dg(m.graph) for m in enum_family_members(7)]
+    family_records.cache_clear()
     second = [serialize_dg(m.graph) for m in enum_family_members(7)]
     assert first == second
+
+
+def members_sha256(order):
+    h = hashlib.sha256()
+    for m in enum_family_members(order):
+        for part in (
+            m.family,
+            json.dumps(m.params, sort_keys=True),
+            repr(m.claimed_noncritical),
+            repr(m.claimed_shape),
+            serialize_dg(m.graph),
+        ):
+            h.update(part.encode() + b"\n")
+    return h.hexdigest()
+
+
+# recorded with the enumeration that built every member list without a memo
+MEMBERS_SHA256 = {
+    7: "3baf8ac5afa2cf835bed7077cc3c4774b347b43f4cccd2262dc014d2e7969c7d",
+    8: "df327254cc4118fcd8f309a10208470b5d7dc992043a907ef39f29402ebab8ee",
+    9: "56b4fb14cb652c9b116ffbaa60cb2b6805de1edb98c5a4a11aae94e5ee1b549d",
+    10: "d93e1c247241d9954f8b287f4f48720b0011674ac4b990ff615d79802e6573cb",
+}
+
+
+def test_enum_family_members_pinned_sha256():
+    for order, digest in MEMBERS_SHA256.items():
+        assert members_sha256(order) == digest, order
+
+
+def test_checked_mode_verifies_on_cold_and_warm_memo(monkeypatch):
+    # every base member plus every kept twin, as many as without a memo
+    calls = []
+    verify = families.verify_member_claims
+    monkeypatch.setattr(
+        families, "verify_member_claims", lambda m: calls.append(m) or verify(m)
+    )
+    family_records.cache_clear()
+    for order, expected in ((7, 657), (8, 988)):
+        for _ in ("cold", "warm"):
+            calls.clear()
+            enum_family_members(order, checked=True)
+            assert len(calls) == expected, order
+
+
+def test_enum_family_members_returns_fresh_lists():
+    first = enum_family_members(7)
+    expected = list(first)
+    first.clear()
+    first.append(None)
+    assert enum_family_members(7) == expected
+
+
+def test_family_records_rejects_unknown_key():
+    with pytest.raises(DigraphError):
+        family_records(("X", 3))
 
 
 def test_enum_family_members_order_bounds():
