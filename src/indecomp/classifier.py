@@ -4,12 +4,14 @@ classify() settles the cheap verdicts (decomposable, fully critical, more
 than one noncritical vertex, too small) directly from the deletion sweeps.
 For a defect-one graph of order >= 7 it reads the shape of the pairwise
 deletion graph and matches the input, by canonical code, against the few
-family parameterizations that could produce that order, shape, and
-noncritical position.  The candidates are families.family_records, the one
-memo per parameterization that enum_family_members also reads, so a process
-that enumerates and then classifies builds each parameterization once.  A
-verified isomorphism witness accompanies every family verdict; its params
-are the memo's shared dict, to be treated as read-only.
+family parameterizations whose claimed shape and noncritical position fit
+it.  families.dispatch_keys looks those up in the family table, where each
+parameterization's claims are written once, and the candidates are
+families.family_records, the one memo per parameterization that
+enum_family_members also reads, so a process that enumerates and then
+classifies builds each parameterization once.  A verified isomorphism
+witness accompanies every family verdict; its params are the memo's shared
+dict, to be treated as read-only.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .criticality import (
     recognize_shape,
     support,
 )
-from .families import family_records
+from .families import dispatch_keys, family_records
 from .modular import is_indecomposable
 
 DECOMPOSABLE = "decomposable"
@@ -87,69 +89,6 @@ class Classification:
 _candidate_records = family_records
 
 
-def _dispatch_keys(order: int, shape: ShapeDescriptor, noncritical: int) -> list:
-    """Family parameterizations compatible with the observed order, shape,
-    and position of the noncritical vertex within the shape, spelled as
-    families.family_records keys."""
-    keys: list = []
-    kind = shape.kind
-    if kind == "cycle":
-        if order % 2 == 1 and len(shape.vertices) == order:
-            keys.append(("H", (order - 1) // 2))
-        return keys
-    if kind == "star_tree":
-        if noncritical != shape.source:
-            return keys
-        profile = shape.branch_lengths
-        isolated = order - len(shape.vertices)
-        odd = sorted(b for b in profile if b % 2 == 1)
-        even = sorted(b for b in profile if b % 2 == 0)
-        if len(profile) < 3 or min(profile) < 2:
-            return keys
-        if len(odd) == 1 and odd[0] >= 3 and isolated == 0:
-            keys.append(("SO", (odd[0],) + tuple(even)))
-        elif not odd and isolated in (0, 1):
-            if (isolated == 1) == (order % 2 == 0):
-                keys.append(("SE", tuple(even), isolated == 1))
-        return keys
-    if kind != "path":
-        return keys
-    pv = shape.vertices
-    isolated = order - len(pv)
-    if noncritical not in pv:
-        if order % 2 == 1 and isolated == 1:
-            keys.append(("R", (order - 1) // 2))
-        return keys
-    if noncritical in (pv[0], pv[-1]):
-        m = len(pv) - 1
-        if m >= 2 and isolated in (0, 1, 2):
-            keys.append(("F", m, isolated))
-        return keys
-    d0 = pv.index(noncritical)
-    d1 = len(pv) - 1 - d0
-    if (len(pv) - 1) % 2 == 1:
-        # odd number of path edges: exactly one end-distance is odd
-        if isolated in (0, 1) and len(pv) >= 4:
-            n = (len(pv) - 2) // 2
-            k = ((d0 if d0 % 2 == 1 else d1) - 1) // 2
-            if n >= 1 and 0 <= k <= n - 1:
-                keys.append(("G", n, k, isolated == 1))
-        return keys
-    n = (len(pv) - 1) // 2
-    if d0 % 2 == 1:
-        # even edge count, both end-distances odd
-        if isolated == 0 and n >= 1:
-            for k in sorted({(d0 - 1) // 2, (d1 - 1) // 2}):
-                if 0 <= k <= n - 1:
-                    keys.append(("Gp", n, k))
-        return keys
-    if isolated in (0, 1, 2) and n >= 2:
-        for k in sorted({d0 // 2, d1 // 2}):
-            if 1 <= k <= n - 1:
-                keys.append(("Gdp", n, k, isolated))
-    return keys
-
-
 def match_family(
     g: Digraph, shape: ShapeDescriptor, noncritical: int
 ) -> Optional[FamilyMatch]:
@@ -162,7 +101,7 @@ def match_family(
     code = canonical_code(g)
     hits = [
         record
-        for key in _dispatch_keys(g.n, shape, noncritical)
+        for key in dispatch_keys(g.n, shape, noncritical)
         for record in family_records(key)
         if record[0] == code
     ]

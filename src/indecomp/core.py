@@ -62,7 +62,7 @@ class Digraph:
     labelled arc set, not up to isomorphism.
     """
 
-    __slots__ = ("n", "out_rows", "in_rows", "_canon", "_types")
+    __slots__ = ("n", "out_rows", "in_rows", "_canon")
 
     def __init__(self, n: int, out_rows: Sequence[int]):
         self.n = n
@@ -76,7 +76,6 @@ class Digraph:
                 j ^= low
         self.in_rows = tuple(in_rows)
         self._canon: Optional[bytes] = None
-        self._types: Optional[list] = None
 
     # -- basics ------------------------------------------------------------
 
@@ -116,19 +115,16 @@ class Digraph:
         return f"Digraph(n={self.n}, arcs={sorted(self.arcs())})"
 
     def type_matrix(self) -> list:
-        """n x n list of PairType values (diagonal ABSENT, never read)."""
-        if self._types is None:
-            n = self.n
-            out = self.out_rows
-            inn = self.in_rows
-            mat = []
-            for x in range(n):
-                ox, ix = out[x], inn[x]
-                mat.append(
-                    [((ox >> y & 1) | ((ix >> y & 1) << 1)) for y in range(n)]
-                )
-            self._types = mat
-        return self._types
+        """n x n list of PairType values (diagonal ABSENT, never read),
+        built afresh on each call."""
+        n = self.n
+        out = self.out_rows
+        inn = self.in_rows
+        mat = []
+        for x in range(n):
+            ox, ix = out[x], inn[x]
+            mat.append([((ox >> y & 1) | ((ix >> y & 1) << 1)) for y in range(n)])
+        return mat
 
 
 def make_digraph(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
@@ -145,8 +141,13 @@ def make_digraph(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
     return Digraph(n, rows)
 
 
+# PairType value -> (arc x->y, arc y->x) bits of the pair (x, y).
+_PAIR_ARCS = {ABSENT: (0, 0), FORWARD: (1, 0), BACKWARD: (0, 1), MUTUAL: (1, 1)}
+
+
 def from_pair_types(n: int, types) -> Digraph:
-    """Build from a mapping {(x, y): PairType} over pairs with x < y.
+    """Build from a mapping {(x, y): PairType or its int value} over pairs
+    with x < y.
 
     Pairs missing from the mapping are ABSENT.
     """
@@ -154,11 +155,11 @@ def from_pair_types(n: int, types) -> Digraph:
     for (x, y), t in types.items():
         if not (0 <= x < y < n):
             raise DigraphError(f"pair ({x}, {y}) must satisfy x < y < n")
-        t = PairType(t)
-        if t is PairType.FORWARD or t is PairType.MUTUAL:
-            rows[x] |= 1 << y
-        if t is PairType.BACKWARD or t is PairType.MUTUAL:
-            rows[y] |= 1 << x
+        arcs = _PAIR_ARCS.get(t)
+        if arcs is None:
+            raise DigraphError(f"pair ({x}, {y}): {t!r} is not a pair type")
+        rows[x] |= arcs[0] << y
+        rows[y] |= arcs[1] << x
     return Digraph(n, rows)
 
 

@@ -5,12 +5,15 @@ claims made for it (which vertex is the unique noncritical one, and what
 the pairwise-deletion graph looks like).  In checked mode the claims are
 re-verified against the criticality module on construction.
 
-family_records(key) is the one memo per family parameterization: its base
-members with their complement/dual twins and canonical codes, built once
-per process.  enum_family_members unions it over an order's keys
-(_family_keys) and classifier.match_family reads it for the keys its shape
-dispatch selects, so members, their params and the memo's records are
-shared objects to be treated as read-only.
+A family parameterization is spelled as a key, its kind followed by the
+generator's arguments (_family_keys lists an order's keys).  One table,
+_KEY_KINDS, gives each kind its generator and its claims, which are written
+only there.  family_records(key) is the one memo per parameterization: its
+base members with their complement/dual twins and canonical codes, built
+once per process.  enum_family_members unions it over an order's keys, and
+classifier.match_family reads it for the keys dispatch_keys looks up from
+an observed shape in the table's claims, so members, their params and the
+memo's records are shared objects to be treated as read-only.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .core import (
     ABSENT,
@@ -150,29 +153,6 @@ def _shape_of_edges(n: int, edges: Iterable[tuple[int, int]]) -> ShapeDescriptor
     return recognize_shape(sym, restricted_to=comp)
 
 
-def _member(
-    graph: Digraph,
-    family: str,
-    params: dict,
-    noncritical: Optional[int],
-    ig_edges: Optional[list],
-    checked: bool,
-) -> FamilyMember:
-    shape = None
-    if ig_edges is not None:
-        shape = _shape_of_edges(graph.n, ig_edges)
-    member = FamilyMember(
-        graph=graph,
-        family=family,
-        params=params,
-        claimed_noncritical=noncritical,
-        claimed_shape=shape,
-    )
-    if checked:
-        verify_member_claims(member)
-    return member
-
-
 # -- named graphs -----------------------------------------------------------------
 
 
@@ -293,36 +273,69 @@ def _path_edges(count: int) -> list:
     return [(i, i + 1) for i in range(count)]
 
 
+# Free types of the extension pairs, by extension size: none, (0a,), (0a, 0b, ba).
+_EXTRAS = (
+    ((),),
+    tuple((t0a,) for t0a in ALL_TYPES),
+    tuple(itertools.product(ALL_TYPES, repeat=3)),
+)
+
+
+def _lettered(value):
+    """value with every PairType in it, also inside dicts and lists, spelled
+    as its TYPE_LETTER."""
+    if isinstance(value, PairType):
+        return TYPE_LETTER[value]
+    if isinstance(value, dict):
+        return {k: _lettered(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_lettered(v) for v in value]
+    return value
+
+
+def _base_members(key: tuple, candidates: Iterable[tuple], checked: bool) -> list:
+    """The base members of one parameterization from its candidates, pairs
+    (pair types, params with PairType values): each built on the key's
+    order, the first of each canonical code kept in candidate order, with
+    its params spelled in TYPE_LETTERs and the key's claims attached."""
+    order, noncritical, shape = _key_claims(key)
+    family = _KEY_KINDS[key[0]].family
+    found: dict = {}
+    for types, params in candidates:
+        g = from_pair_types(order, types)
+        found.setdefault(canonical_code(g), (g, params))
+    out: list = []
+    for g, params in found.values():
+        member = FamilyMember(g, family, _lettered(params), noncritical, shape)
+        if checked:
+            verify_member_claims(member)
+        out.append(member)
+    return out
+
+
 # -- class of path-backbone graphs with the noncritical vertex at an end ------------
 
 
 def enum_class_F(m: int, ext_size: int, *, checked: bool = False) -> list:
-    """Members on 0..m plus ext_size extra vertices, built by the parity
-    propagation rule from the free pair types; claims: noncritical vertex m
-    (order >= 4) and a path 0-1-...-m with isolated extras (order >= 7)."""
+    """Members on 0..m plus ext_size extra vertices; their claims are
+    _KEY_KINDS["F"]'s."""
+    return _base_members(("F", m, ext_size), _class_F(m, ext_size), checked)
+
+
+def _class_F(m: int, ext_size: int) -> Iterator[tuple]:
+    """Candidates built by the parity propagation rule from the free pair
+    types."""
     if m < 2:
         raise DigraphError("enum_class_F: need m >= 2")
     if ext_size not in (0, 1, 2):
         raise DigraphError("enum_class_F: ext_size must be 0, 1 or 2")
-    order = m + 1 + ext_size
     alpha, beta = m + 1, m + 2
-    out: list = []
-    seen: set = set()
-
-    extras: list
-    if ext_size == 0:
-        extras = [()]
-    elif ext_size == 1:
-        extras = [(t0a,) for t0a in ALL_TYPES]
-    else:
-        extras = list(itertools.product(ALL_TYPES, ALL_TYPES, ALL_TYPES))
-
     for t01, t12, t02 in itertools.product(ALL_TYPES, repeat=3):
         if t01 is t12.reverse():
             continue
         if (t01 is t02) != (ext_size >= 1):
             continue
-        for extra in extras:
+        for extra in _EXTRAS[ext_size]:
             if ext_size == 0:
                 if t02 is t12 or t12 is t01:
                     continue
@@ -362,43 +375,23 @@ def enum_class_F(m: int, ext_size: int, *, checked: bool = False) -> list:
                 types[(alpha, beta)] = tba.reverse()
                 labels["0b"] = t0b
                 labels["ba"] = tba
-
-            g = from_pair_types(order, types)
-            code = canonical_code(g)
-            if code in seen:
-                continue
-            seen.add(code)
-            params = {
-                "m": m,
-                "ext_size": ext_size,
-                "types": {k: TYPE_LETTER[v] for k, v in labels.items()},
-            }
-            out.append(
-                _member(
-                    g,
-                    FAMILY_F,
-                    params,
-                    m if order >= 4 else None,
-                    _path_edges(m) if order >= 7 else None,
-                    checked,
-                )
-            )
-    return out
+            yield types, {"m": m, "ext_size": ext_size, "types": labels}
 
 
 # -- class of path-backbone graphs, odd noncritical position, odd-length path -------
 
 
 def enum_class_G(n: int, k: int, with_alpha: bool, *, checked: bool = False) -> list:
-    """Members on 0..2n+1 (plus one extra vertex when with_alpha), claims
-    at order >= 7: noncritical vertex 2k+1 and the path 0-1-...-2n+1."""
+    """Members on 0..2n+1, plus one extra vertex when with_alpha; their
+    claims are _KEY_KINDS["G"]'s."""
+    return _base_members(("G", n, k, with_alpha), _class_G(n, k, with_alpha), checked)
+
+
+def _class_G(n: int, k: int, with_alpha: bool) -> Iterator[tuple]:
     if n < 1 or not 0 <= k <= n - 1:
         raise DigraphError("enum_class_G: need n >= 1 and 0 <= k <= n-1")
     top = 2 * n + 1
     alpha = 2 * n + 2
-    order = 2 * n + 2 + (1 if with_alpha else 0)
-    out: list = []
-    seen: set = set()
 
     t02_domain = ALL_TYPES if k >= 1 else (None,)
     t0a_domain = ALL_TYPES if with_alpha else (None,)
@@ -444,43 +437,21 @@ def enum_class_G(n: int, k: int, with_alpha: bool, *, checked: bool = False) -> 
                 else:
                     types[(v, alpha)] = t0a if v // 2 <= k else t01.reverse()
             labels["0a"] = t0a
-
-        g = from_pair_types(order, types)
-        code = canonical_code(g)
-        if code in seen:
-            continue
-        seen.add(code)
-        params = {
-            "n": n,
-            "k": k,
-            "with_alpha": with_alpha,
-            "types": {kk: TYPE_LETTER[v] for kk, v in labels.items()},
-        }
-        claim = order >= 7
-        out.append(
-            _member(
-                g,
-                FAMILY_G,
-                params,
-                2 * k + 1 if claim else None,
-                _path_edges(top) if claim else None,
-                checked,
-            )
-        )
-    return out
+        yield types, {"n": n, "k": k, "with_alpha": with_alpha, "types": labels}
 
 
 # -- class of path-backbone graphs on an even top vertex, no extensions -------------
 
 
 def enum_class_Gprime(n: int, k: int, *, checked: bool = False) -> list:
-    """Members on 0..2n exactly; claims at order >= 7: noncritical vertex
-    2k+1 and the full path 0-1-...-2n with nothing isolated."""
+    """Members on 0..2n exactly; their claims are _KEY_KINDS["Gp"]'s."""
+    return _base_members(("Gp", n, k), _class_Gprime(n, k), checked)
+
+
+def _class_Gprime(n: int, k: int) -> Iterator[tuple]:
     if n < 1 or not 0 <= k <= n - 1:
         raise DigraphError("enum_class_Gprime: need n >= 1 and 0 <= k <= n-1")
     order = 2 * n + 1
-    out: list = []
-    seen: set = set()
 
     ta_domain = ALL_TYPES if k >= 1 else (None,)
     tb_domain = ALL_TYPES if k <= n - 2 else (None,)
@@ -518,29 +489,7 @@ def enum_class_Gprime(n: int, k: int, *, checked: bool = False) -> list:
             labels["low"] = ta
         if k <= n - 2:
             labels["high"] = tb
-
-        g = from_pair_types(order, types)
-        code = canonical_code(g)
-        if code in seen:
-            continue
-        seen.add(code)
-        params = {
-            "n": n,
-            "k": k,
-            "types": {kk: TYPE_LETTER[v] for kk, v in labels.items()},
-        }
-        claim = order >= 7
-        out.append(
-            _member(
-                g,
-                FAMILY_GP,
-                params,
-                2 * k + 1 if claim else None,
-                _path_edges(2 * n) if claim else None,
-                checked,
-            )
-        )
-    return out
+        yield types, {"n": n, "k": k, "types": labels}
 
 
 # -- class of path-backbone graphs, even noncritical position, with extensions ------
@@ -549,31 +498,26 @@ def enum_class_Gprime(n: int, k: int, *, checked: bool = False) -> list:
 def enum_class_Gdprime(
     n: int, k: int, ext_size: int, *, checked: bool = False
 ) -> list:
-    """Members on 0..2n plus ext_size extra vertices; claims at every
-    order: noncritical vertex 2k and the path 0-1-...-2n, extras isolated."""
+    """Members on 0..2n plus ext_size extra vertices; their claims are
+    _KEY_KINDS["Gdp"]'s."""
+    return _base_members(
+        ("Gdp", n, k, ext_size), _class_Gdprime(n, k, ext_size), checked
+    )
+
+
+def _class_Gdprime(n: int, k: int, ext_size: int) -> Iterator[tuple]:
     if n < 2 or not 1 <= k <= n - 1:
         raise DigraphError("enum_class_Gdprime: need n >= 2 and 1 <= k <= n-1")
     if ext_size not in (0, 1, 2):
         raise DigraphError("enum_class_Gdprime: ext_size must be 0, 1 or 2")
-    order = 2 * n + 1 + ext_size
     alpha, beta = 2 * n + 1, 2 * n + 2
-    out: list = []
-    seen: set = set()
-
-    extras: list
-    if ext_size == 0:
-        extras = [()]
-    elif ext_size == 1:
-        extras = [(t0a,) for t0a in ALL_TYPES]
-    else:
-        extras = list(itertools.product(ALL_TYPES, ALL_TYPES, ALL_TYPES))
 
     for t01, t12, t02, tn in itertools.product(ALL_TYPES, repeat=4):
         if t01 is t12.reverse() or t12.reverse() is tn:
             continue
         if (t02 is t12) != (ext_size >= 1):
             continue
-        for extra in extras:
+        for extra in _EXTRAS[ext_size]:
             if ext_size == 0:
                 if t01 is t12 and tn is t12:
                     continue
@@ -618,29 +562,7 @@ def enum_class_Gdprime(
                 tba = extra[2]
                 types[(alpha, beta)] = tba.reverse()
                 labels["ba"] = tba
-
-            g = from_pair_types(order, types)
-            code = canonical_code(g)
-            if code in seen:
-                continue
-            seen.add(code)
-            params = {
-                "n": n,
-                "k": k,
-                "ext_size": ext_size,
-                "types": {kk: TYPE_LETTER[v] for kk, v in labels.items()},
-            }
-            out.append(
-                _member(
-                    g,
-                    FAMILY_GDP,
-                    params,
-                    2 * k,
-                    _path_edges(2 * n),
-                    checked,
-                )
-            )
-    return out
+            yield types, {"n": n, "k": k, "ext_size": ext_size, "types": labels}
 
 
 # -- starred-tree classes ------------------------------------------------------------
@@ -661,7 +583,8 @@ def _star_layout(branch_lengths: tuple) -> tuple:
     return idx, base
 
 
-def _star_tree_edges(branch_lengths: tuple, idx) -> list:
+def _star_edges(branch_lengths: tuple) -> list:
+    idx, _ = _star_layout(branch_lengths)
     edges = []
     for i, length in enumerate(branch_lengths, start=1):
         for pos in range(length):
@@ -670,10 +593,14 @@ def _star_tree_edges(branch_lengths: tuple, idx) -> list:
 
 
 def enum_Hstar_odd(branch_lengths: Iterable[int], *, checked: bool = False) -> list:
-    """Members whose pairwise-deletion graph is claimed to be exactly the
-    starred tree on the given profile: one odd branch (listed first, length
-    >= 3) and at least two even branches, noncritical source 0."""
+    """Members on a starred-tree profile of one odd branch (listed first,
+    length >= 3) and at least two even branches; their claims are
+    _KEY_KINDS["SO"]'s."""
     bl = tuple(branch_lengths)
+    return _base_members(("SO", bl), _Hstar_odd(bl), checked)
+
+
+def _Hstar_odd(bl: tuple) -> Iterator[tuple]:
     if len(bl) < 3:
         raise DigraphError("enum_Hstar_odd: need at least 3 branches")
     if bl[0] % 2 == 0 or bl[0] < 3:
@@ -683,10 +610,7 @@ def enum_Hstar_odd(branch_lengths: Iterable[int], *, checked: bool = False) -> l
     k = len(bl)
     n1 = (bl[0] - 1) // 2
     halves = {i: bl[i - 1] // 2 for i in range(2, k + 1)}
-    idx, order = _star_layout(bl)
-    tree = _star_tree_edges(bl, idx)
-    out: list = []
-    seen: set = set()
+    idx, _ = _star_layout(bl)
 
     for seeds in itertools.product(
         NONEMPTY_TYPES, *([NONEMPTY_TYPES] * (k - 1)), ALL_TYPES
@@ -711,41 +635,31 @@ def enum_Hstar_odd(branch_lengths: Iterable[int], *, checked: bool = False) -> l
         for j in range(n1 + 1):
             for l in range(j, n1 + 1):
                 _put_ordered(rules, idx(1, 2 * j), idx(1, 2 * l + 1), t01)
-
-        g = from_pair_types(order, rules)
-        code = canonical_code(g)
-        if code in seen:
-            continue
-        seen.add(code)
-        params = {
+        yield rules, {
             "branches": list(bl),
-            "source_type": TYPE_LETTER[t01],
-            "odd_anchor": TYPE_LETTER[ta1],
-            "branch_types": [TYPE_LETTER[ts[i]] for i in range(2, k + 1)],
+            "source_type": t01,
+            "odd_anchor": ta1,
+            "branch_types": [ts[i] for i in range(2, k + 1)],
         }
-        out.append(_member(g, FAMILY_STAR_ODD, params, 0, tree, checked))
-    return out
 
 
 def enum_Hstar_even(
     branch_lengths: Iterable[int], with_gamma: bool, *, checked: bool = False
 ) -> list:
-    """Members whose pairwise-deletion graph is claimed to be the starred
-    tree on the given all-even profile (noncritical source 0), with the
-    optional extra vertex isolated."""
+    """Members on an all-even starred-tree profile, plus one extra vertex
+    when with_gamma; their claims are _KEY_KINDS["SE"]'s."""
     bl = tuple(branch_lengths)
+    return _base_members(("SE", bl, with_gamma), _Hstar_even(bl, with_gamma), checked)
+
+
+def _Hstar_even(bl: tuple, with_gamma: bool) -> Iterator[tuple]:
     if len(bl) < 3:
         raise DigraphError("enum_Hstar_even: need at least 3 branches")
     if any(b % 2 == 1 or b < 2 for b in bl):
         raise DigraphError("enum_Hstar_even: branch lengths must be even >= 2")
     k = len(bl)
-    idx, base = _star_layout(bl)
-    gamma = base if with_gamma else None
-    order = base + (1 if with_gamma else 0)
-    tree = _star_tree_edges(bl, idx)
+    idx, gamma = _star_layout(bl)
     vertices = [(i, p) for i in range(1, k + 1) for p in range(1, bl[i - 1] + 1)]
-    out: list = []
-    seen: set = set()
 
     tg_domain = NONEMPTY_TYPES if with_gamma else (None,)
     for seeds in itertools.product(*([NONEMPTY_TYPES] * k), tg_domain):
@@ -773,20 +687,14 @@ def enum_Hstar_even(
                 if p % 2 == 0:
                     types[(idx(i, p), gamma)] = tg.reverse()
 
-        g = from_pair_types(order, types)
-        code = canonical_code(g)
-        if code in seen:
-            continue
-        seen.add(code)
         params = {
             "branches": list(bl),
             "with_gamma": with_gamma,
-            "branch_types": [TYPE_LETTER[ts[i]] for i in range(1, k + 1)],
+            "branch_types": [ts[i] for i in range(1, k + 1)],
         }
         if with_gamma:
-            params["gamma_type"] = TYPE_LETTER[tg]
-        out.append(_member(g, FAMILY_STAR_EVEN, params, 0, tree, checked))
-    return out
+            params["gamma_type"] = tg
+        yield types, params
 
 
 # -- order-indexed union ---------------------------------------------------------------
@@ -832,29 +740,99 @@ def _closure_variants(g: Digraph) -> list:
     ]
 
 
+def _named(key: tuple, graph: Digraph, params: dict) -> list:
+    """The one base member of a named graph's parameterization."""
+    _, noncritical, shape = _key_claims(key)
+    return [FamilyMember(graph, _KEY_KINDS[key[0]].family, params, noncritical, shape)]
+
+
 def _named_H(p: int) -> list:
-    cycle = _path_edges(2 * p) + [(0, 2 * p)]
-    return [_member(gen_H(p), FAMILY_H, {"p": p}, 0, cycle, False)]
+    return _named(("H", p), gen_H(p), {"p": p})
 
 
 def _named_R(n: int) -> list:
-    return [
-        _member(gen_R(n), FAMILY_R, {"n": n}, 2 * n, _path_edges(2 * n - 1), False)
-    ]
+    return _named(("R", n), gen_R(n), {"n": n})
 
 
-# Family key kind -> generator of the parameterization's base members; a key
-# is the kind followed by the generator's positional arguments.
-_KEY_GENERATORS = {
-    "H": _named_H,
-    "R": _named_R,
-    "F": enum_class_F,
-    "G": enum_class_G,
-    "Gp": enum_class_Gprime,
-    "Gdp": enum_class_Gdprime,
-    "SO": enum_Hstar_odd,
-    "SE": enum_Hstar_even,
+# -- the family table ------------------------------------------------------------------
+
+
+class _KeyKind(NamedTuple):
+    """One kind of family key, a key being the kind followed by arity
+    arguments.  generate(*args) builds the parameterization's unchecked base
+    members; claims(*args) gives their order, noncritical vertex and
+    deletion-graph edges on literal vertices.  The two claims hold from the
+    orders in since on; below them the family claims nothing."""
+
+    family: str
+    arity: int
+    generate: Callable
+    claims: Callable
+    since: tuple = (0, 0)
+
+
+_KEY_KINDS = {
+    "H": _KeyKind(
+        FAMILY_H, 1, _named_H,
+        lambda p: (2 * p + 1, 0, _path_edges(2 * p) + [(0, 2 * p)]),
+    ),
+    "R": _KeyKind(
+        FAMILY_R, 1, _named_R,
+        lambda n: (2 * n + 1, 2 * n, _path_edges(2 * n - 1)),
+    ),
+    "F": _KeyKind(
+        FAMILY_F, 2, enum_class_F,
+        lambda m, ext_size: (m + 1 + ext_size, m, _path_edges(m)),
+        since=(4, 7),
+    ),
+    "G": _KeyKind(
+        FAMILY_G, 3, enum_class_G,
+        lambda n, k, with_alpha: (
+            2 * n + 2 + int(with_alpha), 2 * k + 1, _path_edges(2 * n + 1)
+        ),
+        since=(7, 7),
+    ),
+    "Gp": _KeyKind(
+        FAMILY_GP, 2, enum_class_Gprime,
+        lambda n, k: (2 * n + 1, 2 * k + 1, _path_edges(2 * n)),
+        since=(7, 7),
+    ),
+    "Gdp": _KeyKind(
+        FAMILY_GDP, 3, enum_class_Gdprime,
+        lambda n, k, ext_size: (2 * n + 1 + ext_size, 2 * k, _path_edges(2 * n)),
+    ),
+    "SO": _KeyKind(
+        FAMILY_STAR_ODD, 1, enum_Hstar_odd,
+        lambda bl: (1 + sum(bl), 0, _star_edges(bl)),
+    ),
+    "SE": _KeyKind(
+        FAMILY_STAR_EVEN, 2, enum_Hstar_even,
+        lambda bl, with_gamma: (1 + sum(bl) + int(with_gamma), 0, _star_edges(bl)),
+    ),
 }
+
+
+def _key_kind(key: tuple) -> _KeyKind:
+    """The table row of a family key; DigraphError when the key has an
+    unknown kind or the wrong number of arguments."""
+    kind = _KEY_KINDS.get(key[0]) if isinstance(key, tuple) and key else None
+    if kind is None or len(key) != 1 + kind.arity:
+        raise DigraphError(f"malformed family key {key!r}")
+    return kind
+
+
+@lru_cache(maxsize=None)
+def _key_claims(key: tuple) -> tuple:
+    """(order, noncritical vertex, deletion-graph ShapeDescriptor) claimed
+    for every member of one parameterization, None where the family claims
+    nothing at that order; the shape is recognized once per key."""
+    kind = _key_kind(key)
+    order, noncritical, edges = kind.claims(*key[1:])
+    noncritical_since, shape_since = kind.since
+    if order < noncritical_since:
+        noncritical = None
+    shape = _shape_of_edges(order, edges) if order >= shape_since else None
+    return order, noncritical, shape
 
 
 def _family_keys(order: int) -> Iterator[tuple]:
@@ -899,13 +877,11 @@ def family_records(key: tuple) -> tuple:
     canonical code differs from its own and from the earlier twins'.  params
     is the parameterization shared by a base member and its twins; a twin's
     member.params adds its "variant".  Built once per key and process, so
-    the records and their members are shared: treat them as read-only.
+    the records and their members are shared: treat them as read-only.  A
+    key whose kind is unknown or whose arity is wrong raises DigraphError.
     """
-    generate = _KEY_GENERATORS.get(key[0])
-    if generate is None:
-        raise DigraphError(f"unknown family key {key!r}")
     records = []
-    for base in generate(*key[1:]):
+    for base in _key_kind(key).generate(*key[1:]):
         seen = set()
         for variant, graph in _closure_variants(base.graph):
             code = canonical_code(graph)
@@ -946,3 +922,40 @@ def enum_family_members(order: int, *, checked: bool = False) -> list:
                 seen.add(code)
                 out.append(member)
     return out
+
+
+# -- dispatch: the keys whose claims an observed shape fits ----------------------------
+
+
+def _signature(shape: ShapeDescriptor, noncritical: int) -> tuple:
+    """What of a deletion-graph shape and of the noncritical vertex's place
+    on it survives relabelling: the kind, the shape's vertex count, its
+    branch lengths, and the vertex's two distances to the path ends
+    (sorted), or "source", "on" or "off"."""
+    vs = shape.vertices
+    if shape.kind == "path" and noncritical in vs:
+        d = vs.index(noncritical)
+        where = tuple(sorted((d, len(vs) - 1 - d)))
+    elif shape.kind == "star_tree" and noncritical == shape.source:
+        where = "source"
+    else:
+        where = "on" if noncritical in vs else "off"
+    return shape.kind, len(vs), shape.branch_lengths, where
+
+
+@lru_cache(maxsize=None)
+def _dispatch_table(order: int) -> dict:
+    """Signature of each claim of the order -> the keys making it, in
+    _family_keys order."""
+    table: dict = {}
+    for key in _family_keys(order):
+        _, noncritical, shape = _key_claims(key)
+        table.setdefault(_signature(shape, noncritical), []).append(key)
+    return table
+
+
+def dispatch_keys(order: int, shape: ShapeDescriptor, noncritical: int) -> tuple:
+    """The family_records keys of an order >= 7 whose claimed deletion-graph
+    shape and noncritical vertex match the given ones up to relabelling, in
+    enumeration order; empty when no family claims them."""
+    return tuple(_dispatch_table(order).get(_signature(shape, noncritical), ()))

@@ -39,7 +39,14 @@ from .classifier import (
     THEOREM_VIOLATION,
     classify,
 )
-from .core import Digraph, DigraphError, canonical_code, mask_of, pair_type
+from .core import (
+    Digraph,
+    DigraphError,
+    canonical_code,
+    from_pair_types,
+    mask_of,
+    pair_type,
+)
 from .criticality import check_lemma21
 from .families import MAX_ENUM_ORDER, enum_family_members
 from .modular import (
@@ -241,14 +248,8 @@ class _Kernel:
         return result
 
     def graph_at(self, row: int) -> Digraph:
-        out_rows = [0] * self.n
-        for p, (x, y) in enumerate(self.pairs):
-            d = int(self.digits[row, p])
-            if d in (1, 3):
-                out_rows[x] |= 1 << y
-            if d in (2, 3):
-                out_rows[y] |= 1 << x
-        return Digraph(self.n, out_rows)
+        types = dict(zip(self.pairs, self.digits[row].tolist()))
+        return from_pair_types(self.n, types)
 
 
 def _kernel_partition_audit(k: _Kernel, tallies: dict) -> None:
@@ -566,14 +567,7 @@ def _audit_graph(
 
 
 def _random_graph(order: int, pairs: list, rng) -> Digraph:
-    out_rows = [0] * order
-    for p, (x, y) in enumerate(pairs):
-        d = int(rng.integers(0, 4))
-        if d in (1, 3):
-            out_rows[x] |= 1 << y
-        if d in (2, 3):
-            out_rows[y] |= 1 << x
-    return Digraph(order, out_rows)
+    return from_pair_types(order, {p: int(rng.integers(0, 4)) for p in pairs})
 
 
 def _mutant(g: Digraph, pairs: list, rng) -> Digraph:
@@ -583,14 +577,9 @@ def _mutant(g: Digraph, pairs: list, rng) -> Digraph:
     new = int(rng.integers(0, 3))
     if new >= old:
         new += 1
-    out_rows = list(g.out_rows)
-    out_rows[x] &= ~(1 << y)
-    out_rows[y] &= ~(1 << x)
-    if new in (1, 3):
-        out_rows[x] |= 1 << y
-    if new in (2, 3):
-        out_rows[y] |= 1 << x
-    return Digraph(g.n, out_rows)
+    types = {p: pair_type(g, *p) for p in pairs}
+    types[(x, y)] = new
+    return from_pair_types(g.n, types)
 
 
 def _random_chunk(args: tuple) -> dict:

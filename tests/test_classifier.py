@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -125,7 +127,8 @@ def test_match_witness_reverifies():
 def relabel_match_graph(match, g):
     """Find the matched candidate again and check the witness relabels it
     onto the classified graph."""
-    from indecomp.classifier import _candidate_records, _dispatch_keys
+    from indecomp.classifier import _candidate_records
+    from indecomp.families import dispatch_keys as _dispatch_keys
 
     code = canonical_code(g)
     for key in _dispatch_keys(g.n, match.shape, match.noncritical):
@@ -227,3 +230,34 @@ def test_multi_hits_recorded_not_fatal():
     res = classify(gen_H(3))
     assert len(res.match.all_hits) >= 1
     assert all(len(hit) == 2 for hit in res.match.all_hits)
+
+
+def classify_sha256(order):
+    h = hashlib.sha256()
+    for m in enum_family_members(order):
+        res = classify(m.graph)
+        match = res.match
+        for part in (
+            res.verdict,
+            match.family,
+            json.dumps(match.params, sort_keys=True),
+            match.variant,
+            repr(match.witness),
+            repr(match.all_hits),
+            repr(match.shape),
+        ):
+            h.update(part.encode() + b"\n")
+    return h.hexdigest()
+
+
+# recorded with the hand-written shape dispatch that the family table replaced
+CLASSIFY_SHA256 = {
+    7: "d6e94e0e1dcf1214957b3042ee85432ccd0be1678dc37b2483515e0b6faed0e0",
+    8: "c3e9d94e185842a7c9e78aa594c23c199b9f775da8ef333c5c7fc9202aa3c3d1",
+    9: "380673e2469248ebbfbdb52b1a320ce7b537b5af7c474dcbef8ae0b2629cc7d8",
+}
+
+
+def test_classify_members_pinned_sha256():
+    for order, digest in CLASSIFY_SHA256.items():
+        assert classify_sha256(order) == digest, order

@@ -129,6 +129,15 @@ def test_in_rows_match_out_rows():
                     assert bool(g.in_rows[y] >> x & 1) == g.has_arc(x, y)
 
 
+def test_type_matrix_is_fresh_on_each_call():
+    g = make_digraph(3, [(0, 1), (1, 2), (2, 1)])
+    first = g.type_matrix()
+    assert first[0][1] == FORWARD and first[1][2] == MUTUAL
+    first[0][1] = ABSENT
+    first.append([])
+    assert g.type_matrix() == [[0, 1, 0], [2, 0, 3], [0, 3, 0]]
+
+
 def test_from_pair_types_matches_make_digraph():
     types = {(0, 1): FORWARD, (0, 2): BACKWARD, (1, 2): ABSENT}
     assert from_pair_types(3, types) == h3()
@@ -137,6 +146,8 @@ def test_from_pair_types_matches_make_digraph():
     assert sorted(g.arcs()) == [(0, 1), (1, 0), (1, 2)]
     with pytest.raises(DigraphError):
         from_pair_types(3, {(1, 0): FORWARD})
+    with pytest.raises(DigraphError):
+        from_pair_types(3, {(0, 1): 4})
 
 
 def test_equality_and_hash_are_labelled():

@@ -20,7 +20,15 @@ from indecomp.core import (
     relabel,
     serialize_dg,
 )
-from indecomp.criticality import critical_vertices, indecomposability_graph
+from indecomp.criticality import (
+    ShapeDescriptor,
+    critical_vertices,
+    indecomposability_graph,
+    make_symgraph,
+    recognize_shape,
+    shape_edges,
+    support,
+)
 from indecomp.families import (
     FamilyMember,
     enum_class_F,
@@ -30,6 +38,7 @@ from indecomp.families import (
     enum_family_members,
     enum_Hstar_even,
     enum_Hstar_odd,
+    dispatch_keys,
     family_records,
     gen_H,
     gen_Q5,
@@ -398,8 +407,9 @@ def test_enum_family_members_returns_fresh_lists():
 
 
 def test_family_records_rejects_unknown_key():
-    with pytest.raises(DigraphError):
-        family_records(("X", 3))
+    for key in (("X", 3), ("F", 5), ("G", 2, 0), ("SO",), ()):
+        with pytest.raises(DigraphError):
+            family_records(key)
 
 
 def test_enum_family_members_order_bounds():
@@ -415,3 +425,42 @@ def test_members_all_have_defect_one():
     for m in rng.sample(members, 25):
         report = critical_vertices(m.graph)
         assert report.defect == 1
+
+
+# -- dispatch: keys looked up from the family table's claims ---------------------------
+
+
+def relabelled_claim(order, shape, noncritical, perm):
+    """The claimed shape and noncritical vertex after relabelling by perm."""
+    edges = [(perm[a], perm[b]) for a, b in shape_edges(shape)]
+    sym = make_symgraph(order, edges)
+    return recognize_shape(sym, restricted_to=support(sym).component), perm[noncritical]
+
+
+def test_dispatch_finds_every_key_from_its_claims():
+    rng = random.Random(6101)
+    for order in range(7, 17):
+        # reverses every path, rotates every cycle, and an arbitrary relabelling
+        reverse = list(range(order - 1, -1, -1))
+        rotate = [(v + 3) % order for v in range(order)]
+        shuffle = list(range(order))
+        rng.shuffle(shuffle)
+        for key in families._family_keys(order):
+            _, noncritical, shape = families._key_claims(key)
+            assert key in dispatch_keys(order, shape, noncritical), key
+            for perm in (reverse, rotate, shuffle):
+                relabelled = relabelled_claim(order, shape, noncritical, perm)
+                assert key in dispatch_keys(order, *relabelled), (key, perm)
+
+
+def test_dispatch_gives_no_keys_off_the_claims():
+    for order in (7, 8, 9, 12):
+        for kind in ("edgeless", "other"):
+            shape = ShapeDescriptor(kind=kind, vertices=tuple(range(order)))
+            for x in range(order):
+                assert dispatch_keys(order, shape, x) == ()
+        for key in families._family_keys(order):
+            _, noncritical, shape = families._key_claims(key)
+            if shape.kind == "star_tree":
+                for x in shape.vertices[1:]:
+                    assert dispatch_keys(order, shape, x) == (), (key, x)
