@@ -10,8 +10,9 @@ parameterization's claims are written once, and the candidates are
 families.family_records, the one memo per parameterization that
 enum_family_members also reads, so a process that enumerates and then
 classifies builds each parameterization once.  A verified isomorphism
-witness accompanies every family verdict; its params are the memo's shared
-dict, to be treated as read-only.
+witness accompanies every family verdict, read off the canonical orderings
+that the code match has already computed for the member and the input; its
+params are the memo's shared dict, to be treated as read-only.
 """
 
 from __future__ import annotations

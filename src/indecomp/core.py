@@ -7,6 +7,13 @@ types: forward arc only, backward arc only, both arcs (mutual), or no arc
 that lens, so the representation keeps two bit matrices (out-rows and in-rows
 as python ints): pair-type lookup is O(1) and homogeneity of a vertex against
 a whole set is a couple of word operations.
+
+Isomorphism goes through one search.  The canonical search finds the least
+pair-type matrix over the vertex orderings that colour refinement allows
+and caches it on the graph with the ordering that spells it.
+canonical_code returns that matrix as bytes, up to CANONICAL_BOUND;
+find_isomorphism maps the i-th vertex of one graph's ordering to the i-th
+of the other's when the two codes agree, at any order.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ class DgFormatError(DigraphError):
 
 
 class CanonicalBoundError(DigraphError):
-    """canonical_code called above its configured order bound."""
+    """canonical_code called above CANONICAL_BOUND."""
 
 
 class PairType(IntEnum):
@@ -50,7 +57,7 @@ BACKWARD = PairType.BACKWARD
 MUTUAL = PairType.MUTUAL
 ABSENT = PairType.ABSENT
 
-# Default order bound of canonical_code.
+# Order bound of canonical_code.
 CANONICAL_BOUND = 16
 
 
@@ -75,7 +82,7 @@ class Digraph:
                 in_rows[low.bit_length() - 1] |= 1 << i
                 j ^= low
         self.in_rows = tuple(in_rows)
-        self._canon: Optional[bytes] = None
+        self._canon: Optional[tuple[bytes, bytes]] = None
 
     # -- basics ------------------------------------------------------------
 
@@ -299,22 +306,22 @@ def _individualize(colors: list, v: int) -> list:
     ]
 
 
-def canonical_code(g: Digraph, *, bound: int = CANONICAL_BOUND) -> bytes:
-    """Canonical byte string: equal codes iff the graphs are isomorphic.
+def _canonical_labelling(g: Digraph) -> tuple[bytes, bytes]:
+    """(code, ordering) of g at any order, cached on g: ordering lists g's
+    vertices in the order whose pair-type matrix the code spells.
 
     Minimizes the pair-type matrix over vertex orderings consistent with
-    iterated profile refinement, branching on still-tied vertices.  The
-    search degenerates on highly symmetric inputs, hence the order bound.
+    iterated profile refinement, branching on still-tied vertices, and keeps
+    the first ordering that realizes the least matrix.
     """
-    if g.n > bound:
-        raise CanonicalBoundError(
-            f"canonical_code: order {g.n} above bound {bound}"
-        )
     if g._canon is not None:
         return g._canon
     n = g.n
+    if n > 255:
+        # the code's header byte and the ordering hold one vertex per byte
+        raise CanonicalBoundError(f"canonical search: order {n} above 255")
     if n <= 1:
-        g._canon = bytes([n])
+        g._canon = (bytes([n]), bytes(range(n)))
         return g._canon
     types = g.type_matrix()
 
@@ -328,13 +335,14 @@ def canonical_code(g: Digraph, *, bound: int = CANONICAL_BOUND) -> bytes:
 
     offdiag = {types[x][y] for x in range(n) for y in range(n) if x != y}
     if len(offdiag) == 1:
-        g._canon = matrix_bytes(range(n))
+        g._canon = (matrix_bytes(range(n)), bytes(range(n)))
         return g._canon
 
     best: Optional[bytes] = None
+    best_order: Sequence[int] = ()
 
     def search(colors: list) -> None:
-        nonlocal best
+        nonlocal best, best_order
         # first colour class (by rank) that is still a tie
         by_color: dict = {}
         for v, c in enumerate(colors):
@@ -348,71 +356,50 @@ def canonical_code(g: Digraph, *, bound: int = CANONICAL_BOUND) -> bytes:
             order = sorted(range(n), key=colors.__getitem__)
             cand = matrix_bytes(order)
             if best is None or cand < best:
-                best = cand
+                best, best_order = cand, order
             return
         for v in target:
             search(_refine_colors(types, _individualize(colors, v)))
 
     search(_refine_colors(types, [0] * n))
     assert best is not None
-    g._canon = best
-    return best
+    g._canon = (best, bytes(best_order))
+    return g._canon
+
+
+def canonical_code(g: Digraph) -> bytes:
+    """Canonical byte string: equal codes iff the graphs are isomorphic.
+
+    The least pair-type matrix found by the canonical search.  The search
+    degenerates on highly symmetric inputs, hence the order bound
+    CANONICAL_BOUND.
+    """
+    if g.n > CANONICAL_BOUND:
+        raise CanonicalBoundError(
+            f"canonical_code: order {g.n} above bound {CANONICAL_BOUND}"
+        )
+    return _canonical_labelling(g)[0]
 
 
 def find_isomorphism(g: Digraph, h: Digraph) -> Optional[tuple[int, ...]]:
     """Permutation p with relabel(g, p) == h, or None.
 
-    Backtracking over refinement classes, candidates filtered by per-vertex
-    pair-type profiles; the returned witness is re-checked arc for arc.
+    Read off the two graphs' canonical orderings, which the canonical search
+    caches on each graph: equal codes map the i-th vertex of g's ordering to
+    the i-th of h's.  Not bounded by CANONICAL_BOUND.  The witness is
+    re-checked arc for arc.
     """
     if g.n != h.n:
         return None
-    n = g.n
-    if n == 0:
-        return ()
-    tg = g.type_matrix()
-    th = h.type_matrix()
-    cg = _refine_colors(tg, [0] * n)
-    ch = _refine_colors(th, [0] * n)
-    if sorted(cg) != sorted(ch):
+    code_g, order_g = _canonical_labelling(g)
+    code_h, order_h = _canonical_labelling(h)
+    if code_g != code_h:
         return None
-    cands = {c: [w for w in range(n) if ch[w] == c] for c in set(ch)}
-    for c in set(cg):
-        if len(cands.get(c, ())) != cg.count(c):
-            return None
-    order = sorted(range(n), key=lambda v: (len(cands[cg[v]]), cg[v], v))
-    mapping = [-1] * n
-    used = [False] * n
-
-    def bt(idx: int) -> bool:
-        if idx == n:
-            return True
-        v = order[idx]
-        tv = tg[v]
-        for w in cands[cg[v]]:
-            if used[w]:
-                continue
-            tw = th[w]
-            ok = True
-            for u in order[:idx]:
-                if tv[u] != tw[mapping[u]]:
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if bt(idx + 1):
-                    return True
-                used[w] = False
-                mapping[v] = -1
-        return False
-
-    if not bt(0):
-        return None
-    for x in range(n):
-        for y in range(n):
-            if x != y and tg[x][y] != th[mapping[x]][mapping[y]]:
-                return None  # pruning bug guard; never expected
+    mapping = [0] * g.n
+    for v, w in zip(order_g, order_h):
+        mapping[v] = w
+    if relabel(g, mapping) != h:
+        return None  # canonical search bug guard; never expected
     return tuple(mapping)
 
 

@@ -37,9 +37,6 @@ class SymGraph:
     def has_edge(self, x: int, y: int) -> bool:
         return (min(x, y), max(x, y)) in self.edges
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
     def neighbors(self, v: int) -> tuple:
         out = set()
         for a, b in self.edges:

@@ -72,11 +72,6 @@ FAMILY_GDP = "class_Gdprime"
 FAMILY_STAR_ODD = "hstar_odd"
 FAMILY_STAR_EVEN = "hstar_even"
 
-# A pair-type assignment maps short labels of the free pairs of a class
-# (e.g. "01", "0a") to the PairType realized for that pair.
-PairTypeAssignment = dict
-
-
 @dataclass(frozen=True)
 class FamilyMember:
     """A generated graph together with the structural claims made for it.
@@ -757,15 +752,28 @@ def _named_R(n: int) -> list:
 # -- the family table ------------------------------------------------------------------
 
 
+def _int_arg(value) -> bool:
+    return type(value) is int
+
+
+def _flag_arg(value) -> bool:
+    return type(value) is bool
+
+
+def _branches_arg(value) -> bool:
+    return type(value) is tuple and all(type(b) is int for b in value)
+
+
 class _KeyKind(NamedTuple):
-    """One kind of family key, a key being the kind followed by arity
-    arguments.  generate(*args) builds the parameterization's unchecked base
-    members; claims(*args) gives their order, noncritical vertex and
-    deletion-graph edges on literal vertices.  The two claims hold from the
-    orders in since on; below them the family claims nothing."""
+    """One kind of family key, a key being the kind followed by one argument
+    per predicate in args, each of which it must satisfy.  generate(*args)
+    builds the parameterization's unchecked base members; claims(*args)
+    gives their order, noncritical vertex and deletion-graph edges on
+    literal vertices.  The two claims hold from the orders in since on;
+    below them the family claims nothing."""
 
     family: str
-    arity: int
+    args: tuple
     generate: Callable
     claims: Callable
     since: tuple = (0, 0)
@@ -773,40 +781,40 @@ class _KeyKind(NamedTuple):
 
 _KEY_KINDS = {
     "H": _KeyKind(
-        FAMILY_H, 1, _named_H,
+        FAMILY_H, (_int_arg,), _named_H,
         lambda p: (2 * p + 1, 0, _path_edges(2 * p) + [(0, 2 * p)]),
     ),
     "R": _KeyKind(
-        FAMILY_R, 1, _named_R,
+        FAMILY_R, (_int_arg,), _named_R,
         lambda n: (2 * n + 1, 2 * n, _path_edges(2 * n - 1)),
     ),
     "F": _KeyKind(
-        FAMILY_F, 2, enum_class_F,
+        FAMILY_F, (_int_arg, _int_arg), enum_class_F,
         lambda m, ext_size: (m + 1 + ext_size, m, _path_edges(m)),
         since=(4, 7),
     ),
     "G": _KeyKind(
-        FAMILY_G, 3, enum_class_G,
+        FAMILY_G, (_int_arg, _int_arg, _flag_arg), enum_class_G,
         lambda n, k, with_alpha: (
             2 * n + 2 + int(with_alpha), 2 * k + 1, _path_edges(2 * n + 1)
         ),
         since=(7, 7),
     ),
     "Gp": _KeyKind(
-        FAMILY_GP, 2, enum_class_Gprime,
+        FAMILY_GP, (_int_arg, _int_arg), enum_class_Gprime,
         lambda n, k: (2 * n + 1, 2 * k + 1, _path_edges(2 * n)),
         since=(7, 7),
     ),
     "Gdp": _KeyKind(
-        FAMILY_GDP, 3, enum_class_Gdprime,
+        FAMILY_GDP, (_int_arg, _int_arg, _int_arg), enum_class_Gdprime,
         lambda n, k, ext_size: (2 * n + 1 + ext_size, 2 * k, _path_edges(2 * n)),
     ),
     "SO": _KeyKind(
-        FAMILY_STAR_ODD, 1, enum_Hstar_odd,
+        FAMILY_STAR_ODD, (_branches_arg,), enum_Hstar_odd,
         lambda bl: (1 + sum(bl), 0, _star_edges(bl)),
     ),
     "SE": _KeyKind(
-        FAMILY_STAR_EVEN, 2, enum_Hstar_even,
+        FAMILY_STAR_EVEN, (_branches_arg, _flag_arg), enum_Hstar_even,
         lambda bl, with_gamma: (1 + sum(bl) + int(with_gamma), 0, _star_edges(bl)),
     ),
 }
@@ -814,9 +822,14 @@ _KEY_KINDS = {
 
 def _key_kind(key: tuple) -> _KeyKind:
     """The table row of a family key; DigraphError when the key has an
-    unknown kind or the wrong number of arguments."""
+    unknown kind, the wrong number of arguments or an argument of the wrong
+    type."""
     kind = _KEY_KINDS.get(key[0]) if isinstance(key, tuple) and key else None
-    if kind is None or len(key) != 1 + kind.arity:
+    if (
+        kind is None
+        or len(key) != 1 + len(kind.args)
+        or not all(ok(arg) for ok, arg in zip(kind.args, key[1:]))
+    ):
         raise DigraphError(f"malformed family key {key!r}")
     return kind
 
@@ -878,7 +891,8 @@ def family_records(key: tuple) -> tuple:
     is the parameterization shared by a base member and its twins; a twin's
     member.params adds its "variant".  Built once per key and process, so
     the records and their members are shared: treat them as read-only.  A
-    key whose kind is unknown or whose arity is wrong raises DigraphError.
+    key of unknown kind, wrong arity or wrong-typed arguments raises
+    DigraphError.
     """
     records = []
     for base in _key_kind(key).generate(*key[1:]):

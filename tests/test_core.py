@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from indecomp import core
 from indecomp.core import (
     ABSENT,
     BACKWARD,
@@ -31,6 +32,7 @@ from indecomp.core import (
     serialize_dg,
     to_dot,
 )
+from indecomp.families import FAMILY_STAR_EVEN, FAMILY_STAR_ODD, enum_family_members
 
 # Small fixed graph used throughout: arcs 0->1 and 2->0.
 H3_ARCS = [(0, 1), (2, 0)]
@@ -272,6 +274,43 @@ def test_find_isomorphism_negative():
     assert find_isomorphism(c3, chain(3)) is None
 
 
+def test_find_isomorphism_reads_cached_canonical_orderings(monkeypatch):
+    rng = random.Random(14)
+    g = random_digraph(9, rng)
+    perm = list(range(9))
+    rng.shuffle(perm)
+    h = relabel(g, perm)
+    canonical_code(g)
+    canonical_code(h)
+
+    def no_refinement(*args):
+        raise AssertionError("find_isomorphism searched again")
+
+    monkeypatch.setattr(core, "_refine_colors", no_refinement)
+    found = find_isomorphism(g, h)
+    assert found is not None
+    assert relabel(g, list(found)) == h
+
+
+def test_find_isomorphism_on_members_with_automorphisms():
+    # 126 of the 204 order-8 star members and twins have automorphisms (2 or
+    # 6 each, counted by brute force), so their canonical search reaches the
+    # least matrix on several orderings and must keep one consistently
+    rng = random.Random(15)
+    stars = [
+        m for m in enum_family_members(8)
+        if m.family in (FAMILY_STAR_ODD, FAMILY_STAR_EVEN)
+    ]
+    assert stars
+    for m in stars:
+        perm = list(range(8))
+        rng.shuffle(perm)
+        h = relabel(m.graph, perm)
+        found = find_isomorphism(m.graph, h)
+        assert found is not None
+        assert relabel(m.graph, list(found)) == h
+
+
 def test_canonical_code_invariant_under_relabelling():
     rng = random.Random(13)
     for n in (1, 2, 5, 8):
@@ -291,7 +330,10 @@ def test_canonical_code_separates_iso_classes():
         graphs.append(from_pair_types(3, types))
     for g, h in itertools.combinations(graphs, 2):
         same_code = canonical_code(g) == canonical_code(h)
-        assert same_code == (find_isomorphism(g, h) is not None)
+        isomorphic = any(
+            relabel(g, perm) == h for perm in itertools.permutations(range(3))
+        )
+        assert same_code == isomorphic
 
 
 def test_canonical_code_bound():
@@ -300,6 +342,9 @@ def test_canonical_code_bound():
         canonical_code(g)
     # constant matrices at the bound stay cheap
     assert canonical_code(make_digraph(16, []))[0] == 16
+    # find_isomorphism searches past the bound, up to one vertex per byte
+    with pytest.raises(CanonicalBoundError):
+        find_isomorphism(make_digraph(256, []), make_digraph(256, []))
 
 
 def test_canonical_code_symmetric_graphs():

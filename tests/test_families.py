@@ -407,7 +407,10 @@ def test_enum_family_members_returns_fresh_lists():
 
 
 def test_family_records_rejects_unknown_key():
-    for key in (("X", 3), ("F", 5), ("G", 2, 0), ("SO",), ()):
+    for key in (
+        ("X", 3), ("F", 5), ("G", 2, 0), ("SO",), (),
+        ("SO", 5), ("F", "a", 0), ("H", 2.5), ("G", 2, 0, "x"),
+    ):
         with pytest.raises(DigraphError):
             family_records(key)
 
