@@ -881,7 +881,6 @@ def _family_keys(order: int) -> Iterator[tuple]:
             yield ("SE", profile, True)
 
 
-@lru_cache(maxsize=None)
 def family_records(key: tuple) -> tuple:
     """The unchecked members of one family parameterization, closed under
     complement and dual: tuples (code, variant, params, member).
@@ -892,10 +891,17 @@ def family_records(key: tuple) -> tuple:
     member.params adds its "variant".  Built once per key and process, so
     the records and their members are shared: treat them as read-only.  A
     key of unknown kind, wrong arity or wrong-typed arguments raises
-    DigraphError.
+    DigraphError, checked before the memo is asked, so an unhashable key
+    is refused the same way.  cache_info and cache_clear are the memo's.
     """
+    _key_kind(key)
+    return _records_memo(key)
+
+
+@lru_cache(maxsize=None)
+def _records_memo(key: tuple) -> tuple:
     records = []
-    for base in _key_kind(key).generate(*key[1:]):
+    for base in _KEY_KINDS[key[0]].generate(*key[1:]):
         seen = set()
         for variant, graph in _closure_variants(base.graph):
             code = canonical_code(graph)
@@ -909,6 +915,10 @@ def family_records(key: tuple) -> tuple:
                 )
             records.append((code, variant, base.params, member))
     return tuple(records)
+
+
+family_records.cache_info = _records_memo.cache_info
+family_records.cache_clear = _records_memo.cache_clear
 
 
 def enum_family_members(order: int, *, checked: bool = False) -> list:

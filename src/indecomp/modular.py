@@ -7,10 +7,14 @@ intervals are trivial is indecomposable.
 
 Two routes to indecomposability live here on purpose.  nontrivial_intervals
 enumerates candidate subsets and tests the definition pair by pair; it is the
-slow reference oracle.  is_indecomposable runs splitter closures over bit
-masks instead.  The test suite holds one against the other.
+slow reference oracle.  is_indecomposable runs a two-pivot test over bit
+masks instead: with a and b the two lowest vertices, one splitter closure of
+{a, b} catches every interval holding both, and a partition refinement from
+a (from b) catches every interval avoiding a (holding a but not b), after
+Ehrenfeucht, Gabow, McConnell & Sullivan (J. Algorithms 16, 1994).  The test
+suite holds one route against the other.
 
-Every primality question on the closure route goes through _prime_mask,
+Every primality question on the two-pivot route goes through _prime_mask,
 which keeps one bounded memo keyed on (out rows, in rows, universe).  The
 rows identify the graph, so a subgraph asked about by several audits of the
 same graph (the partition, the extension rules, the two-vertex extension,
@@ -127,20 +131,61 @@ def _closure_mask(out, inn, seed: int, universe: int) -> int:
         m |= add
 
 
+def _refines_to_singletons(out, inn, pivot: int, universe: int) -> bool:
+    """Does refining the rest of `universe` from the vertex whose bit is
+    `pivot` end in singletons?
+
+    Each pivot v splits every class not holding v by the pair type of its
+    members to v, and every vertex of a class that splits becomes a pivot
+    again.  An interval avoiding `pivot` is never split, and when the
+    pivots run out every class left is such an interval, so the answer is
+    no exactly when some nontrivial interval avoids `pivot`.  Singleton
+    classes are dropped once made; their vertices still act as pivots.
+    """
+    classes = [universe ^ pivot]
+    pending = pivot
+    while pending:
+        low = pending & -pending
+        pending ^= low
+        v = low.bit_length() - 1
+        o, i = out[v], inn[v]
+        kept = []
+        for c in classes:
+            co, ci = c & o, c & i
+            if c & low or (not co or co == c) and (not ci or ci == c):
+                kept.append(c)
+                continue
+            pending |= c
+            for part in (co & ci, co & ~ci, ci & ~co, c & ~(o | i)):
+                if part & (part - 1):
+                    kept.append(part)
+        if not kept:
+            return True
+        classes = kept
+    return False
+
+
 @functools.lru_cache(maxsize=PRIME_MEMO_SIZE)
 def _prime_mask(out: tuple, inn: tuple, universe: int) -> bool:
     """Is the subgraph induced on `universe` indecomposable?
 
-    A nontrivial interval would contain some pair whose closure stays
-    proper, so it suffices to close every pair.  Answers are memoized on
-    (out, inn, universe), so the rows must be tuples; the memo keeps the
-    PRIME_MEMO_SIZE most recently used entries across graphs.
+    Two-pivot test, with a and b the two lowest vertices: a nontrivial
+    interval holding both keeps the closure of {a, b} proper, one avoiding
+    a survives the refinement from a, and one holding a but not b survives
+    the refinement from b.  The closure runs first, so most decomposable
+    universes exit after it.  Answers are memoized on (out, inn, universe),
+    so the rows must be tuples; the memo keeps the PRIME_MEMO_SIZE most
+    recently used entries across graphs.
     """
-    verts = list(bits_of(universe))
-    for a, b in itertools.combinations(verts, 2):
-        if _closure_mask(out, inn, (1 << a) | (1 << b), universe) != universe:
-            return False
-    return True
+    if universe.bit_count() < 3:
+        return True
+    a = universe & -universe
+    b = (universe ^ a) & -(universe ^ a)
+    return (
+        _closure_mask(out, inn, a | b, universe) == universe
+        and _refines_to_singletons(out, inn, a, universe)
+        and _refines_to_singletons(out, inn, b, universe)
+    )
 
 
 # -- public interval operations ---------------------------------------------------
@@ -165,7 +210,8 @@ def minimal_interval_containing(g: Digraph, xs: Iterable[int]) -> frozenset:
 
 
 def is_indecomposable(g: Digraph) -> bool:
-    """Splitter-closure route; orders 0..2 count as indecomposable."""
+    """Two-pivot route: one closure and two partition refinements (see
+    _prime_mask); orders 0..2 count as indecomposable."""
     return _prime_mask(g.out_rows, g.in_rows, (1 << g.n) - 1)
 
 

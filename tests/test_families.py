@@ -105,6 +105,14 @@ def test_tournaments_are_fully_critical():
         assert report.noncritical == ()
 
 
+def test_large_tournament_is_fully_critical():
+    # order 81: 82 deletion universes, each decided by one closure and two
+    # refinements instead of a closure per pair
+    report = critical_vertices(gen_T(40))
+    assert report.defect == 0
+    assert report.critical == tuple(range(81))
+
+
 def test_gen_u_not_isomorphic_to_gen_t():
     assert find_isomorphism(gen_T(2), gen_U(2)) is None
     assert find_isomorphism(gen_T(3), gen_U(3)) is None
@@ -410,6 +418,7 @@ def test_family_records_rejects_unknown_key():
     for key in (
         ("X", 3), ("F", 5), ("G", 2, 0), ("SO",), (),
         ("SO", 5), ("F", "a", 0), ("H", 2.5), ("G", 2, 0, "x"),
+        ("SO", [3, 2, 2]), ["H", 2], ("H", {}),
     ):
         with pytest.raises(DigraphError):
             family_records(key)

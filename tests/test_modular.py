@@ -7,16 +7,19 @@ import random
 
 import pytest
 
+from indecomp import modular
 from indecomp.core import (
     DigraphError,
     PairType,
     bits_of,
+    complement,
     from_pair_types,
     induced,
     make_digraph,
     mask_of,
     pair_type,
 )
+from indecomp.families import enum_family_members, family_records
 from indecomp.modular import (
     OutsidePartition,
     TheoremViolation,
@@ -149,6 +152,91 @@ def test_routes_agree_on_random_samples():
     for _ in range(250):
         g = random_digraph(rng.randrange(5, 8), rng)
         assert is_indecomposable(g) == (not nontrivial_intervals(g))
+
+
+# -- _prime_mask against the oracle ----------------------------------------------------
+
+
+def oracle_prime(g, universe):
+    return not nontrivial_intervals(induced(g, bits_of(universe))[0])
+
+
+def planted_digraph(n, rng):
+    """A random digraph in which a random subset of 2..n-1 vertices is made
+    an interval: every outside vertex sees all of it as it sees the first."""
+    g = random_digraph(n, rng)
+    inside = rng.sample(range(n), rng.randrange(2, n))
+    first = inside[0]
+    types = {}
+    for x, y in itertools.combinations(range(n), 2):
+        if x in inside and y not in inside:
+            types[(x, y)] = pair_type(g, first, y)
+        elif y in inside and x not in inside:
+            types[(x, y)] = pair_type(g, x, first)
+        else:
+            types[(x, y)] = pair_type(g, x, y)
+    return from_pair_types(n, types)
+
+
+def test_prime_mask_matches_oracle_on_every_order4_universe():
+    _prime_mask.cache_clear()
+    for g in all_digraphs(4):
+        for u in range(1 << 4):
+            assert _prime_mask(g.out_rows, g.in_rows, u) == oracle_prime(g, u), (g, u)
+
+
+def test_prime_mask_matches_oracle_on_random_graphs_and_deletions():
+    # random digraphs are almost all prime from order 6 on; the planted ones
+    # are decomposable, and so are many of their deletions
+    rng = random.Random(41)
+    _prime_mask.cache_clear()
+    verdicts = set()
+    for n, count in ((5, 60), (6, 60), (7, 40), (8, 24), (9, 10), (10, 4),
+                     (11, 2), (12, 1)):
+        full = (1 << n) - 1
+        for _ in range(count):
+            for g in (random_digraph(n, rng), planted_digraph(n, rng)):
+                for u in [full] + [full ^ (1 << x) for x in range(n)]:
+                    want = oracle_prime(g, u)
+                    assert _prime_mask(g.out_rows, g.in_rows, u) == want, (g, u)
+                    verdicts.add((n, want))
+    assert all((n, want) in verdicts for n in range(5, 13) for want in (0, 1))
+
+
+def test_prime_mask_matches_oracle_on_member_deletions():
+    # every one- and two-vertex deletion of the members of orders 7..9; the
+    # complement and dual of a graph have its intervals, so the oracle runs
+    # once per such class of induced subgraphs
+    _prime_mask.cache_clear()
+    verdicts = {}
+    for order in (7, 8, 9):
+        full = (1 << order) - 1
+        for member in enum_family_members(order):
+            g = member.graph
+            for k in (1, 2):
+                for xs in itertools.combinations(range(order), k):
+                    u = full ^ mask_of(xs)
+                    sub = induced(g, bits_of(u))[0]
+                    flip = complement(sub)
+                    key = min(sub.out_rows, sub.in_rows, flip.out_rows, flip.in_rows)
+                    if key not in verdicts:
+                        verdicts[key] = not nontrivial_intervals(sub)
+                    got = _prime_mask(g.out_rows, g.in_rows, u)
+                    assert got == verdicts[key], (g, xs)
+    assert set(verdicts.values()) == {False, True}
+
+
+def test_prime_mask_closes_once_on_a_prime_universe(monkeypatch):
+    # the all-pairs test closed all 45 pairs of a prime order-10 universe
+    g = family_records(("F", 9, 0))[0][3].graph
+    calls = []
+    closure = modular._closure_mask
+    monkeypatch.setattr(
+        modular, "_closure_mask", lambda *args: calls.append(args) or closure(*args)
+    )
+    _prime_mask.cache_clear()
+    assert _prime_mask(g.out_rows, g.in_rows, (1 << 10) - 1)
+    assert len(calls) == 1
 
 
 # -- outside partition -----------------------------------------------------------------
