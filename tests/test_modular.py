@@ -200,7 +200,7 @@ def test_prime_mask_matches_oracle_on_random_graphs_and_deletions():
                     want = oracle_prime(g, u)
                     assert _prime_mask(g.out_rows, g.in_rows, u) == want, (g, u)
                     verdicts.add((n, want))
-    assert all((n, want) in verdicts for n in range(5, 13) for want in (0, 1))
+    assert all((n, want) in verdicts for n in range(5, 13) for want in (False, True))
 
 
 def test_prime_mask_matches_oracle_on_member_deletions():
@@ -227,7 +227,8 @@ def test_prime_mask_matches_oracle_on_member_deletions():
 
 
 def test_prime_mask_closes_once_on_a_prime_universe(monkeypatch):
-    # the all-pairs test closed all 45 pairs of a prime order-10 universe
+    # a prime universe costs one closure at any order; the two refinements
+    # decide the rest
     g = family_records(("F", 9, 0))[0][3].graph
     calls = []
     closure = modular._closure_mask
