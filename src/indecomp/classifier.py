@@ -43,15 +43,6 @@ MINUS_ONE_CRITICAL = "minus_one_critical"
 OUT_OF_SCOPE_ORDER = "out_of_scope_order"
 THEOREM_VIOLATION = "theorem_violation"
 
-VERDICTS = (
-    DECOMPOSABLE,
-    CRITICAL,
-    MINUS_K_CRITICAL,
-    MINUS_ONE_CRITICAL,
-    OUT_OF_SCOPE_ORDER,
-    THEOREM_VIOLATION,
-)
-
 
 @dataclass(frozen=True)
 class FamilyMatch:

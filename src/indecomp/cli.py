@@ -1,7 +1,8 @@
 """Command-line front end: generate fixtures, inspect .dg files, and run
 the verification surveys.
 
-Subcommands: gen (emit a generated graph), check (decomposition and
+Subcommands: gen (emit a named graph, a member of a family table row's
+parameterization or of an order's members), check (decomposition and
 criticality report), classify (defect-one family matching), ig (pairwise-
 deletion graph and its shape), survey (exhaustive or seeded random audits,
 one JSON line per chunk then a summary line), roundtrip (generate-then-
@@ -34,13 +35,11 @@ from .criticality import (
     support,
 )
 from .families import (
-    enum_class_F,
-    enum_class_G,
-    enum_class_Gdprime,
-    enum_class_Gprime,
+    FAMILY_STAR_EVEN,
+    _KEY_KINDS,
+    _branches_arg,
+    _flag_arg,
     enum_family_members,
-    enum_Hstar_even,
-    enum_Hstar_odd,
     gen_H,
     gen_Q5,
     gen_R,
@@ -60,14 +59,11 @@ SINGLE_FAMILIES = {
     "gen_Q5": (gen_Q5, 0, ""),
 }
 
-ENUM_FAMILY_ARITIES = {
-    "class_F": "m ext_size",
-    "class_G": "n k with_alpha",
-    "class_Gprime": "n k",
-    "class_Gdprime": "n k ext_size",
-    "hstar_odd": "branch lengths (3 or more)",
-    "hstar_even": "branch lengths (3 or more) [--gamma]",
-    "members": "order",
+# The family table's rows by family name, less the named graphs above
+TABLE_FAMILIES = {
+    kind.family: kind
+    for kind in _KEY_KINDS.values()
+    if kind.family not in SINGLE_FAMILIES
 }
 
 
@@ -98,40 +94,32 @@ def _load(path: str) -> Digraph:
 # -- gen -----------------------------------------------------------------------
 
 
-def _enum_members(family: str, params: list, gamma: bool) -> list:
-    if family == "class_F":
-        if len(params) != 2:
-            raise DigraphError("class_F takes: m ext_size")
-        return enum_class_F(params[0], params[1])
-    if family == "class_G":
-        if len(params) != 3 or params[2] not in (0, 1):
-            raise DigraphError("class_G takes: n k with_alpha(0|1)")
-        return enum_class_G(params[0], params[1], bool(params[2]))
-    if family == "class_Gprime":
-        if len(params) != 2:
-            raise DigraphError("class_Gprime takes: n k")
-        return enum_class_Gprime(params[0], params[1])
-    if family == "class_Gdprime":
-        if len(params) != 3:
-            raise DigraphError("class_Gdprime takes: n k ext_size")
-        return enum_class_Gdprime(params[0], params[1], params[2])
-    if family == "hstar_odd":
-        if len(params) < 3:
-            raise DigraphError("hstar_odd takes three or more branch lengths")
-        return enum_Hstar_odd(tuple(params))
-    if family == "hstar_even":
-        if len(params) < 3:
-            raise DigraphError("hstar_even takes three or more branch lengths")
-        return enum_Hstar_even(tuple(params), gamma)
+def _indexed_members(family: str, params: list, gamma: bool) -> list:
+    """The members --index picks from: enum_family_members(order) for
+    members, else the base members of the family table row's key, which
+    takes one integer per int argument and 0 or 1 per flag, or every integer
+    as its branch tuple with --gamma as the flag after it."""
     if family == "members":
         if len(params) != 1:
             raise DigraphError("members takes: order")
         return enum_family_members(params[0])
-    raise DigraphError(f"unknown family '{family}'")
+    kind = TABLE_FAMILIES[family]
+    if kind.args[0] is _branches_arg:
+        args = (tuple(params), gamma)[: len(kind.args)]
+    elif len(params) == len(kind.args):
+        args = tuple(
+            {0: False, 1: True}.get(p, p) if ok is _flag_arg else p
+            for ok, p in zip(kind.args, params)
+        )
+    else:
+        raise DigraphError(f"{family} takes {len(kind.args)} integers")
+    return kind.generate(*args)
 
 
 def _cmd_gen(args) -> int:
     family = args.family
+    if args.gamma and family != FAMILY_STAR_EVEN:
+        raise DigraphError(f"--gamma applies to {FAMILY_STAR_EVEN} only")
     if family in SINGLE_FAMILIES:
         fn, arity, names = SINGLE_FAMILIES[family]
         if len(args.params) != arity:
@@ -141,8 +129,8 @@ def _cmd_gen(args) -> int:
         if args.index:
             raise DigraphError(f"{family} generates a single graph; --index must be 0")
         graph = fn(*args.params)
-    elif family in ENUM_FAMILY_ARITIES:
-        members = _enum_members(family, args.params, args.gamma)
+    elif family == "members" or family in TABLE_FAMILIES:
+        members = _indexed_members(family, args.params, args.gamma)
         if not members:
             raise DigraphError(f"{family}{tuple(args.params)} has no members")
         if not 0 <= args.index < len(members):
@@ -151,7 +139,7 @@ def _cmd_gen(args) -> int:
             )
         graph = members[args.index].graph
     else:
-        known = ", ".join(sorted(SINGLE_FAMILIES) + sorted(ENUM_FAMILY_ARITIES))
+        known = ", ".join(sorted([*SINGLE_FAMILIES, "members", *TABLE_FAMILIES]))
         raise DigraphError(f"unknown family '{family}' (choose from: {known})")
 
     if args.format == "dg":
@@ -219,11 +207,7 @@ def _cmd_ig(args) -> int:
         "edges": sorted(list(e) for e in ig.edges),
         "isolated": list(sup.isolated),
         "component": list(sup.component) if sup.component else None,
-        "shape": _shape_json(
-            recognize_shape(ig, restricted_to=sup.component)
-            if sup.component
-            else recognize_shape(ig)
-        ),
+        "shape": _shape_json(recognize_shape(ig, restricted_to=sup.component)),
     }
     _emit(data)
     return 0
@@ -237,7 +221,6 @@ def _cmd_survey(args) -> int:
         report = survey_exhaustive(
             args.order,
             workers=args.workers,
-            long_run=args.long_run,
             on_chunk=_emit,
         )
     else:
@@ -395,8 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--long-run", action="store_true",
-                   help="allow the order-6 exhaustive sweep")
     p.set_defaults(fn=_cmd_survey)
 
     p = sub.add_parser("roundtrip", help="generate-then-classify consistency")

@@ -2,13 +2,17 @@
 
 Every enumerator returns FamilyMember records: the built graph plus the
 claims made for it (which vertex is the unique noncritical one, and what
-the pairwise-deletion graph looks like).  In checked mode the claims are
-re-verified against the criticality module on construction.
+the pairwise-deletion graph looks like).  verify_member_claims re-checks
+one member's claims against the criticality module, and
+enum_family_members(order, checked=True) re-checks a whole order's.
 
 A family parameterization is spelled as a key, its kind followed by the
 generator's arguments (_family_keys lists an order's keys).  One table,
-_KEY_KINDS, gives each kind its generator and its claims, which are written
-only there.  family_records(key) is the one memo per parameterization: its
+_KEY_KINDS, gives each kind its family name, argument checks, generator and
+claims, which are written only there.  Every key, from an enumerator,
+family_records or the command line, passes those checks and a bound of
+MAX_ENUM_ORDER on its claimed order before any shape or candidate is built.
+family_records(key) is the one memo per parameterization: its
 base members with their complement/dual twins and canonical codes, built
 once per process.  enum_family_members unions it over an order's keys, and
 classifier.match_family reads it for the keys dispatch_keys looks up from
@@ -59,12 +63,8 @@ TYPE_LETTER = {FORWARD: "F", BACKWARD: "B", MUTUAL: "M", ABSENT: "A"}
 # up to this order).
 MAX_ENUM_ORDER = CANONICAL_BOUND
 
-FAMILY_T = "gen_T"
-FAMILY_U = "gen_U"
-FAMILY_V = "gen_V"
 FAMILY_R = "gen_R"
 FAMILY_H = "gen_H"
-FAMILY_Q5 = "gen_Q5"
 FAMILY_F = "class_F"
 FAMILY_G = "class_G"
 FAMILY_GP = "class_Gprime"
@@ -264,8 +264,8 @@ def _put_ordered(rules: dict, u: int, v: int, t: PairType) -> None:
     rules[key] = val
 
 
-def _path_edges(count: int) -> list:
-    return [(i, i + 1) for i in range(count)]
+def _path_edges(count: int) -> Iterator[tuple]:
+    return ((i, i + 1) for i in range(count))
 
 
 # Free types of the extension pairs, by extension size: none, (0a,), (0a, 0b, ba).
@@ -288,42 +288,37 @@ def _lettered(value):
     return value
 
 
-def _base_members(key: tuple, candidates: Iterable[tuple], checked: bool) -> list:
+def _base_members(key: tuple, candidates: Iterable[tuple]) -> list:
     """The base members of one parameterization from its candidates, pairs
     (pair types, params with PairType values): each built on the key's
     order, the first of each canonical code kept in candidate order, with
-    its params spelled in TYPE_LETTERs and the key's claims attached."""
+    its params spelled in TYPE_LETTERs and the key's claims attached.  The
+    candidate generators do not check their arguments: _key_claims does,
+    before the first candidate is drawn."""
     order, noncritical, shape = _key_claims(key)
     family = _KEY_KINDS[key[0]].family
     found: dict = {}
     for types, params in candidates:
         g = from_pair_types(order, types)
         found.setdefault(canonical_code(g), (g, params))
-    out: list = []
-    for g, params in found.values():
-        member = FamilyMember(g, family, _lettered(params), noncritical, shape)
-        if checked:
-            verify_member_claims(member)
-        out.append(member)
-    return out
+    return [
+        FamilyMember(g, family, _lettered(params), noncritical, shape)
+        for g, params in found.values()
+    ]
 
 
 # -- class of path-backbone graphs with the noncritical vertex at an end ------------
 
 
-def enum_class_F(m: int, ext_size: int, *, checked: bool = False) -> list:
-    """Members on 0..m plus ext_size extra vertices; their claims are
-    _KEY_KINDS["F"]'s."""
-    return _base_members(("F", m, ext_size), _class_F(m, ext_size), checked)
+def enum_class_F(m: int, ext_size: int) -> list:
+    """Members on 0..m plus ext_size extra vertices; their checks and claims
+    are _KEY_KINDS["F"]'s."""
+    return _base_members(("F", m, ext_size), _class_F(m, ext_size))
 
 
 def _class_F(m: int, ext_size: int) -> Iterator[tuple]:
     """Candidates built by the parity propagation rule from the free pair
     types."""
-    if m < 2:
-        raise DigraphError("enum_class_F: need m >= 2")
-    if ext_size not in (0, 1, 2):
-        raise DigraphError("enum_class_F: ext_size must be 0, 1 or 2")
     alpha, beta = m + 1, m + 2
     for t01, t12, t02 in itertools.product(ALL_TYPES, repeat=3):
         if t01 is t12.reverse():
@@ -376,15 +371,13 @@ def _class_F(m: int, ext_size: int) -> Iterator[tuple]:
 # -- class of path-backbone graphs, odd noncritical position, odd-length path -------
 
 
-def enum_class_G(n: int, k: int, with_alpha: bool, *, checked: bool = False) -> list:
+def enum_class_G(n: int, k: int, with_alpha: bool) -> list:
     """Members on 0..2n+1, plus one extra vertex when with_alpha; their
-    claims are _KEY_KINDS["G"]'s."""
-    return _base_members(("G", n, k, with_alpha), _class_G(n, k, with_alpha), checked)
+    checks and claims are _KEY_KINDS["G"]'s."""
+    return _base_members(("G", n, k, with_alpha), _class_G(n, k, with_alpha))
 
 
 def _class_G(n: int, k: int, with_alpha: bool) -> Iterator[tuple]:
-    if n < 1 or not 0 <= k <= n - 1:
-        raise DigraphError("enum_class_G: need n >= 1 and 0 <= k <= n-1")
     top = 2 * n + 1
     alpha = 2 * n + 2
 
@@ -438,14 +431,13 @@ def _class_G(n: int, k: int, with_alpha: bool) -> Iterator[tuple]:
 # -- class of path-backbone graphs on an even top vertex, no extensions -------------
 
 
-def enum_class_Gprime(n: int, k: int, *, checked: bool = False) -> list:
-    """Members on 0..2n exactly; their claims are _KEY_KINDS["Gp"]'s."""
-    return _base_members(("Gp", n, k), _class_Gprime(n, k), checked)
+def enum_class_Gprime(n: int, k: int) -> list:
+    """Members on 0..2n exactly; their checks and claims are
+    _KEY_KINDS["Gp"]'s."""
+    return _base_members(("Gp", n, k), _class_Gprime(n, k))
 
 
 def _class_Gprime(n: int, k: int) -> Iterator[tuple]:
-    if n < 1 or not 0 <= k <= n - 1:
-        raise DigraphError("enum_class_Gprime: need n >= 1 and 0 <= k <= n-1")
     order = 2 * n + 1
 
     ta_domain = ALL_TYPES if k >= 1 else (None,)
@@ -490,21 +482,13 @@ def _class_Gprime(n: int, k: int) -> Iterator[tuple]:
 # -- class of path-backbone graphs, even noncritical position, with extensions ------
 
 
-def enum_class_Gdprime(
-    n: int, k: int, ext_size: int, *, checked: bool = False
-) -> list:
-    """Members on 0..2n plus ext_size extra vertices; their claims are
-    _KEY_KINDS["Gdp"]'s."""
-    return _base_members(
-        ("Gdp", n, k, ext_size), _class_Gdprime(n, k, ext_size), checked
-    )
+def enum_class_Gdprime(n: int, k: int, ext_size: int) -> list:
+    """Members on 0..2n plus ext_size extra vertices; their checks and
+    claims are _KEY_KINDS["Gdp"]'s."""
+    return _base_members(("Gdp", n, k, ext_size), _class_Gdprime(n, k, ext_size))
 
 
 def _class_Gdprime(n: int, k: int, ext_size: int) -> Iterator[tuple]:
-    if n < 2 or not 1 <= k <= n - 1:
-        raise DigraphError("enum_class_Gdprime: need n >= 2 and 1 <= k <= n-1")
-    if ext_size not in (0, 1, 2):
-        raise DigraphError("enum_class_Gdprime: ext_size must be 0, 1 or 2")
     alpha, beta = 2 * n + 1, 2 * n + 2
 
     for t01, t12, t02, tn in itertools.product(ALL_TYPES, repeat=4):
@@ -578,30 +562,22 @@ def _star_layout(branch_lengths: tuple) -> tuple:
     return idx, base
 
 
-def _star_edges(branch_lengths: tuple) -> list:
+def _star_edges(branch_lengths: tuple) -> Iterator[tuple]:
     idx, _ = _star_layout(branch_lengths)
-    edges = []
     for i, length in enumerate(branch_lengths, start=1):
         for pos in range(length):
-            edges.append((idx(i, pos), idx(i, pos + 1)))
-    return edges
+            yield idx(i, pos), idx(i, pos + 1)
 
 
-def enum_Hstar_odd(branch_lengths: Iterable[int], *, checked: bool = False) -> list:
+def enum_Hstar_odd(branch_lengths: Iterable[int]) -> list:
     """Members on a starred-tree profile of one odd branch (listed first,
-    length >= 3) and at least two even branches; their claims are
-    _KEY_KINDS["SO"]'s."""
+    length >= 3) and at least two even branches; their checks and claims
+    are _KEY_KINDS["SO"]'s."""
     bl = tuple(branch_lengths)
-    return _base_members(("SO", bl), _Hstar_odd(bl), checked)
+    return _base_members(("SO", bl), _Hstar_odd(bl))
 
 
 def _Hstar_odd(bl: tuple) -> Iterator[tuple]:
-    if len(bl) < 3:
-        raise DigraphError("enum_Hstar_odd: need at least 3 branches")
-    if bl[0] % 2 == 0 or bl[0] < 3:
-        raise DigraphError("enum_Hstar_odd: first branch length must be odd >= 3")
-    if any(b % 2 == 1 or b < 2 for b in bl[1:]):
-        raise DigraphError("enum_Hstar_odd: other branch lengths must be even >= 2")
     k = len(bl)
     n1 = (bl[0] - 1) // 2
     halves = {i: bl[i - 1] // 2 for i in range(2, k + 1)}
@@ -638,20 +614,14 @@ def _Hstar_odd(bl: tuple) -> Iterator[tuple]:
         }
 
 
-def enum_Hstar_even(
-    branch_lengths: Iterable[int], with_gamma: bool, *, checked: bool = False
-) -> list:
+def enum_Hstar_even(branch_lengths: Iterable[int], with_gamma: bool) -> list:
     """Members on an all-even starred-tree profile, plus one extra vertex
-    when with_gamma; their claims are _KEY_KINDS["SE"]'s."""
+    when with_gamma; their checks and claims are _KEY_KINDS["SE"]'s."""
     bl = tuple(branch_lengths)
-    return _base_members(("SE", bl, with_gamma), _Hstar_even(bl, with_gamma), checked)
+    return _base_members(("SE", bl, with_gamma), _Hstar_even(bl, with_gamma))
 
 
 def _Hstar_even(bl: tuple, with_gamma: bool) -> Iterator[tuple]:
-    if len(bl) < 3:
-        raise DigraphError("enum_Hstar_even: need at least 3 branches")
-    if any(b % 2 == 1 or b < 2 for b in bl):
-        raise DigraphError("enum_Hstar_even: branch lengths must be even >= 2")
     k = len(bl)
     idx, gamma = _star_layout(bl)
     vertices = [(i, p) for i in range(1, k + 1) for p in range(1, bl[i - 1] + 1)]
@@ -735,18 +705,12 @@ def _closure_variants(g: Digraph) -> list:
     ]
 
 
-def _named(key: tuple, graph: Digraph, params: dict) -> list:
-    """The one base member of a named graph's parameterization."""
+def _named(key: tuple, gen: Callable, params: dict) -> list:
+    """The one base member of a named graph's parameterization; gen(*args)
+    runs only once the key has passed its checks."""
     _, noncritical, shape = _key_claims(key)
-    return [FamilyMember(graph, _KEY_KINDS[key[0]].family, params, noncritical, shape)]
-
-
-def _named_H(p: int) -> list:
-    return _named(("H", p), gen_H(p), {"p": p})
-
-
-def _named_R(n: int) -> list:
-    return _named(("R", n), gen_R(n), {"n": n})
+    family = _KEY_KINDS[key[0]].family
+    return [FamilyMember(gen(*key[1:]), family, params, noncritical, shape)]
 
 
 # -- the family table ------------------------------------------------------------------
@@ -766,14 +730,16 @@ def _branches_arg(value) -> bool:
 
 class _KeyKind(NamedTuple):
     """One kind of family key, a key being the kind followed by one argument
-    per predicate in args, each of which it must satisfy.  generate(*args)
-    builds the parameterization's unchecked base members; claims(*args)
-    gives their order, noncritical vertex and deletion-graph edges on
-    literal vertices.  The two claims hold from the orders in since on;
-    below them the family claims nothing."""
+    per predicate in args, each of which it must satisfy, and then every
+    check(*args) in checks, a dict from the message raised when it fails.
+    generate(*args) builds the parameterization's unchecked base members;
+    claims(*args) gives their order, noncritical vertex and deletion-graph
+    edges on literal vertices.  The two claims hold from the orders in since
+    on; below them the family claims nothing."""
 
     family: str
     args: tuple
+    checks: dict
     generate: Callable
     claims: Callable
     since: tuple = (0, 0)
@@ -781,49 +747,85 @@ class _KeyKind(NamedTuple):
 
 _KEY_KINDS = {
     "H": _KeyKind(
-        FAMILY_H, (_int_arg,), _named_H,
-        lambda p: (2 * p + 1, 0, _path_edges(2 * p) + [(0, 2 * p)]),
+        FAMILY_H, (_int_arg,),
+        {"gen_H: need p >= 1": lambda p: p >= 1},
+        lambda p: _named(("H", p), gen_H, {"p": p}),
+        lambda p: (
+            2 * p + 1, 0, itertools.chain(_path_edges(2 * p), [(0, 2 * p)])
+        ),
     ),
     "R": _KeyKind(
-        FAMILY_R, (_int_arg,), _named_R,
+        FAMILY_R, (_int_arg,),
+        {"gen_R: need n >= 2": lambda n: n >= 2},
+        lambda n: _named(("R", n), gen_R, {"n": n}),
         lambda n: (2 * n + 1, 2 * n, _path_edges(2 * n - 1)),
     ),
     "F": _KeyKind(
-        FAMILY_F, (_int_arg, _int_arg), enum_class_F,
+        FAMILY_F, (_int_arg, _int_arg),
+        {
+            "enum_class_F: need m >= 2": lambda m, _: m >= 2,
+            "enum_class_F: ext_size must be 0, 1 or 2": lambda _, e: e in (0, 1, 2),
+        },
+        enum_class_F,
         lambda m, ext_size: (m + 1 + ext_size, m, _path_edges(m)),
         since=(4, 7),
     ),
     "G": _KeyKind(
-        FAMILY_G, (_int_arg, _int_arg, _flag_arg), enum_class_G,
+        FAMILY_G, (_int_arg, _int_arg, _flag_arg),
+        {"enum_class_G: need n >= 1 and 0 <= k <= n-1": lambda n, k, _: 0 <= k < n},
+        enum_class_G,
         lambda n, k, with_alpha: (
             2 * n + 2 + int(with_alpha), 2 * k + 1, _path_edges(2 * n + 1)
         ),
         since=(7, 7),
     ),
     "Gp": _KeyKind(
-        FAMILY_GP, (_int_arg, _int_arg), enum_class_Gprime,
+        FAMILY_GP, (_int_arg, _int_arg),
+        {"enum_class_Gprime: need n >= 1 and 0 <= k <= n-1": lambda n, k: 0 <= k < n},
+        enum_class_Gprime,
         lambda n, k: (2 * n + 1, 2 * k + 1, _path_edges(2 * n)),
         since=(7, 7),
     ),
     "Gdp": _KeyKind(
-        FAMILY_GDP, (_int_arg, _int_arg, _int_arg), enum_class_Gdprime,
+        FAMILY_GDP, (_int_arg, _int_arg, _int_arg),
+        {
+            "enum_class_Gdprime: need n >= 2 and 1 <= k <= n-1":
+                lambda n, k, _: 1 <= k < n,
+            "enum_class_Gdprime: ext_size must be 0, 1 or 2":
+                lambda n, k, e: e in (0, 1, 2),
+        },
+        enum_class_Gdprime,
         lambda n, k, ext_size: (2 * n + 1 + ext_size, 2 * k, _path_edges(2 * n)),
     ),
     "SO": _KeyKind(
-        FAMILY_STAR_ODD, (_branches_arg,), enum_Hstar_odd,
+        FAMILY_STAR_ODD, (_branches_arg,),
+        {
+            "enum_Hstar_odd: need at least 3 branches": lambda bl: len(bl) >= 3,
+            "enum_Hstar_odd: first branch length must be odd >= 3":
+                lambda bl: bl[0] % 2 == 1 and bl[0] >= 3,
+            "enum_Hstar_odd: other branch lengths must be even >= 2":
+                lambda bl: all(b % 2 == 0 and b >= 2 for b in bl[1:]),
+        },
+        enum_Hstar_odd,
         lambda bl: (1 + sum(bl), 0, _star_edges(bl)),
     ),
     "SE": _KeyKind(
-        FAMILY_STAR_EVEN, (_branches_arg, _flag_arg), enum_Hstar_even,
+        FAMILY_STAR_EVEN, (_branches_arg, _flag_arg),
+        {
+            "enum_Hstar_even: need at least 3 branches": lambda bl, _: len(bl) >= 3,
+            "enum_Hstar_even: branch lengths must be even >= 2":
+                lambda bl, _: all(b % 2 == 0 and b >= 2 for b in bl),
+        },
+        enum_Hstar_even,
         lambda bl, with_gamma: (1 + sum(bl) + int(with_gamma), 0, _star_edges(bl)),
     ),
 }
 
 
 def _key_kind(key: tuple) -> _KeyKind:
-    """The table row of a family key; DigraphError when the key has an
-    unknown kind, the wrong number of arguments or an argument of the wrong
-    type."""
+    """The table row of a family key that passes the row's checks;
+    DigraphError when the key has an unknown kind, the wrong number of
+    arguments or an argument of the wrong type, or fails a check."""
     kind = _KEY_KINDS.get(key[0]) if isinstance(key, tuple) and key else None
     if (
         kind is None
@@ -831,6 +833,9 @@ def _key_kind(key: tuple) -> _KeyKind:
         or not all(ok(arg) for ok, arg in zip(kind.args, key[1:]))
     ):
         raise DigraphError(f"malformed family key {key!r}")
+    for message, ok in kind.checks.items():
+        if not ok(*key[1:]):
+            raise DigraphError(message)
     return kind
 
 
@@ -838,9 +843,13 @@ def _key_kind(key: tuple) -> _KeyKind:
 def _key_claims(key: tuple) -> tuple:
     """(order, noncritical vertex, deletion-graph ShapeDescriptor) claimed
     for every member of one parameterization, None where the family claims
-    nothing at that order; the shape is recognized once per key."""
+    nothing at that order; the shape is recognized once per key.  An order
+    above MAX_ENUM_ORDER, where no member has a canonical code, raises
+    DigraphError before any edge is laid out."""
     kind = _key_kind(key)
     order, noncritical, edges = kind.claims(*key[1:])
+    if order > MAX_ENUM_ORDER:
+        raise DigraphError(f"{kind.family}: order {order} is above {MAX_ENUM_ORDER}")
     noncritical_since, shape_since = kind.since
     if order < noncritical_since:
         noncritical = None
@@ -890,9 +899,11 @@ def family_records(key: tuple) -> tuple:
     is the parameterization shared by a base member and its twins; a twin's
     member.params adds its "variant".  Built once per key and process, so
     the records and their members are shared: treat them as read-only.  A
-    key of unknown kind, wrong arity or wrong-typed arguments raises
-    DigraphError, checked before the memo is asked, so an unhashable key
-    is refused the same way.  cache_info and cache_clear are the memo's.
+    key of unknown kind, wrong arity or wrong-typed arguments, or one that
+    fails its row's checks, raises DigraphError, checked before the memo is
+    asked, so an unhashable key is refused the same way; so does a key
+    claiming an order above MAX_ENUM_ORDER, before anything is built.
+    cache_info and cache_clear are the memo's.
     """
     _key_kind(key)
     return _records_memo(key)

@@ -62,7 +62,6 @@ from .modular import (
 )
 
 EXHAUSTIVE_BOUND = 5
-EXHAUSTIVE_LONG_RUN_BOUND = 6
 RANDOM_ORDER_BOUND = 12
 EXHAUSTIVE_CHUNK = 1 << 18
 RANDOM_CHUNK = 2000
@@ -218,7 +217,7 @@ class _Kernel:
         is done when a round adds nothing.  After each seed pair the mask
         arrays are compacted to the rows whose closure reached every vertex,
         so a row found decomposable is never closed again.  The masks are
-        uint8, which holds every exhaustive order (at most 6) and keeps the
+        uint8, which holds every exhaustive order (at most 5) and keeps the
         transient arrays below the peak memory of the audits that follow."""
         n = self.n
         masks = np.zeros((2, n, self.count), dtype=np.uint8)
@@ -472,17 +471,12 @@ def survey_exhaustive(
     order: int,
     *,
     workers: int = 1,
-    long_run: bool = False,
     on_chunk: Optional[Callable[[dict], None]] = None,
 ) -> SurveyReport:
     """Audit every labeled pair-type assignment of the given order; workers
     must be at least 1."""
-    bound = EXHAUSTIVE_LONG_RUN_BOUND if long_run else EXHAUSTIVE_BOUND
-    if not 3 <= order <= bound:
-        raise DigraphError(
-            f"survey_exhaustive: order must be in 3..{bound}"
-            + ("" if long_run else " (pass long_run for 6)")
-        )
+    if not 3 <= order <= EXHAUSTIVE_BOUND:
+        raise DigraphError(f"survey_exhaustive: order must be in 3..{EXHAUSTIVE_BOUND}")
     total = 4 ** (order * (order - 1) // 2)
     chunks = [
         (order, lo, min(lo + EXHAUSTIVE_CHUNK, total))

@@ -9,7 +9,17 @@ import pytest
 
 from indecomp.cli import _parse_orders, main
 from indecomp.core import parse_dg, serialize_dg
-from indecomp.families import gen_H, gen_R, gen_T
+from indecomp.families import (
+    enum_class_F,
+    enum_class_G,
+    enum_class_Gdprime,
+    enum_class_Gprime,
+    enum_Hstar_even,
+    enum_Hstar_odd,
+    gen_H,
+    gen_R,
+    gen_T,
+)
 
 
 def run(capsys, *argv):
@@ -57,6 +67,31 @@ def test_gen_enum_class_indexing(capsys):
     assert first != third
 
 
+@pytest.mark.parametrize(
+    "argv, members",
+    [
+        (("class_F", "5", "1"), lambda: enum_class_F(5, 1)),
+        (("class_G", "2", "1", "1"), lambda: enum_class_G(2, 1, True)),
+        (("class_Gprime", "3", "1"), lambda: enum_class_Gprime(3, 1)),
+        (("class_Gdprime", "3", "1", "1"), lambda: enum_class_Gdprime(3, 1, 1)),
+        (("hstar_odd", "3", "2", "2"), lambda: enum_Hstar_odd((3, 2, 2))),
+        (("hstar_even", "2", "2", "2"), lambda: enum_Hstar_even((2, 2, 2), False)),
+        (
+            ("hstar_even", "2", "2", "2", "--gamma"),
+            lambda: enum_Hstar_even((2, 2, 2), True),
+        ),
+    ],
+)
+def test_gen_prints_every_enumerator_member(capsys, argv, members):
+    expected = [serialize_dg(m.graph) for m in members()]
+    for index, text in enumerate(expected):
+        code, out, err = run(capsys, "gen", *argv, "--index", str(index))
+        assert code == 0 and not err
+        assert out == text, index
+    code, _, err = run(capsys, "gen", *argv, "--index", str(len(expected)))
+    assert code == 2 and "out of range" in err
+
+
 def test_gen_members_and_gamma(capsys):
     code, out, _ = run(capsys, "gen", "members", "7", "--index", "11")
     assert code == 0 and parse_dg(out).n == 7
@@ -71,6 +106,9 @@ def test_gen_rejects_bad_requests(capsys):
         ("gen", "gen_T", "2", "--index", "1"),
         ("gen", "class_F", "5", "1", "--index", "99"),
         ("gen", "class_G", "2", "1", "7"),
+        ("gen", "class_F", "5", "1", "--gamma"),
+        ("gen", "class_F", "5"),
+        ("gen", "hstar_odd", "3", "2", "2", "-2"),
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2

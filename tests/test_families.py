@@ -256,14 +256,18 @@ def test_star_claim_fields():
 
 
 def test_checked_mode_verifies_whole_classes():
-    enum_class_F(6, 0, checked=True)
-    enum_class_F(5, 1, checked=True)
-    enum_class_F(4, 2, checked=True)
-    enum_class_G(2, 0, True, checked=True)
-    enum_class_Gprime(3, 1, checked=True)
-    enum_class_Gdprime(3, 2, 0, checked=True)
-    enum_Hstar_even((2, 2, 2), False, checked=True)
-    enum_Hstar_odd((3, 2, 2), checked=True)
+    for members in (
+        enum_class_F(6, 0),
+        enum_class_F(5, 1),
+        enum_class_F(4, 2),
+        enum_class_G(2, 0, True),
+        enum_class_Gprime(3, 1),
+        enum_class_Gdprime(3, 2, 0),
+        enum_Hstar_even((2, 2, 2), False),
+        enum_Hstar_odd((3, 2, 2)),
+    ):
+        for member in members:
+            verify_member_claims(member)
 
 
 def test_claims_hold_by_direct_recomputation():
@@ -420,6 +424,29 @@ def test_family_records_rejects_unknown_key():
         ("SO", [3, 2, 2]), ["H", 2], ("H", {}),
     ):
         with pytest.raises(DigraphError):
+            family_records(key)
+
+
+def test_family_records_checks_branch_lengths():
+    # the key fails its branch rule before any edge of its layout is drawn
+    with pytest.raises(DigraphError, match="other branch lengths must be even >= 2"):
+        family_records(("SO", (3, 2, 2, -2)))
+    with pytest.raises(DigraphError, match="branch lengths must be even >= 2"):
+        family_records(("SE", (2, -2, 2), False))
+
+
+def test_family_records_bounds_the_order_before_any_work(monkeypatch):
+    # each key claims an order above MAX_ENUM_ORDER (21 and up): refused
+    # before its shape is recognized or a candidate is built, whatever the
+    # key's arguments would cost
+    def no_work(*args):
+        raise AssertionError("work done for an order above the bound")
+
+    families._key_claims.cache_clear()
+    monkeypatch.setattr(families, "_shape_of_edges", no_work)
+    monkeypatch.setattr(families, "from_pair_types", no_work)
+    for key in (("F", 20, 0), ("F", 10**9, 0), ("H", 10**6), ("SO", (3, 2, 10**9))):
+        with pytest.raises(DigraphError, match="above"):
             family_records(key)
 
 
