@@ -10,7 +10,14 @@ a whole set is a couple of word operations.
 
 Isomorphism goes through one search.  The canonical search finds the least
 pair-type matrix over the vertex orderings that colour refinement allows
-and caches it on the graph with the ordering that spells it.
+and caches it on the graph with the ordering that spells it.  Refinement
+counts a vertex's neighbours of each pair type in each colour class as
+popcounts of per-type bit masks.  Two leaves spelling the same matrix give
+an automorphism, and a subtree that the automorphisms found so far map
+onto an explored one is skipped (McKay and Piperno, J. Symb. Comput. 60,
+2014), so symmetric inputs such as stars with equal branches or
+vertex-transitive tournaments cost a few leaves per orbit instead of one
+per ordering.
 canonical_code returns that matrix as bytes, up to CANONICAL_BOUND;
 find_isomorphism maps the i-th vertex of one graph's ordering to the i-th
 of the other's when the two codes agree, at any order.
@@ -19,6 +26,7 @@ of the other's when the two codes agree, at any order.
 from __future__ import annotations
 
 import itertools
+import operator
 from enum import IntEnum
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -74,8 +82,12 @@ class Digraph:
     def __init__(self, n: int, out_rows: Sequence[int]):
         self.n = n
         self.out_rows = tuple(out_rows)
+        if n < 0 or len(self.out_rows) != n:
+            raise DigraphError(f"{len(self.out_rows)} rows for order {n}")
         in_rows = [0] * n
         for i, row in enumerate(self.out_rows):
+            if row >> n or row >> i & 1:
+                raise DigraphError(f"row {i}: arc out of range or loop arc")
             j = row
             while j:
                 low = j & -j
@@ -272,29 +284,57 @@ def relabel(g: Digraph, perm: Sequence[int]) -> Digraph:
 # -- isomorphism and canonical codes -----------------------------------------
 
 
-def _refine_colors(types: list, colors: list) -> list:
+def _type_masks(g: Digraph) -> list:
+    """Per vertex v, the masks of the w != v with pair type (v, w) ABSENT,
+    FORWARD, BACKWARD and MUTUAL, indexed by the type's value."""
+    full = (1 << g.n) - 1
+    masks = []
+    for v, (o, i) in enumerate(zip(g.out_rows, g.in_rows)):
+        absent = full & ~(o | i) & ~(1 << v)
+        masks.append((absent, o & ~i, i & ~o, o & i))
+    return masks
+
+
+def _refine_colors(masks: list, colors: list) -> list:
     """Iterated invariant refinement of a vertex colouring.
 
     Each round a vertex's signature is its colour plus the multiset of
-    (pair type to w, colour of w); colours are re-ranked by sorted signature.
-    Stops at a fixed point.  Deterministic, label-independent.
+    (pair type to w, colour of w), counted as popcounts of its type masks
+    against each colour class; colours are re-ranked by sorted signature.
+    Only tied classes need signatures: ranks go class by class in colour
+    order, so a singleton keeps its place.  Stops at a fixed point or a
+    discrete colouring.  Deterministic, label-independent.
     """
-    n = len(types)
+    n = len(masks)
     while True:
-        sigs = []
-        for v in range(n):
-            row = types[v]
-            counts: dict = {}
-            for w in range(n):
-                if w == v:
-                    continue
-                key = (row[w], colors[w])
-                counts[key] = counts.get(key, 0) + 1
-            sigs.append((colors[v], tuple(sorted(counts.items()))))
-        ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [ranking[s] for s in sigs]
-        if new == colors:
-            return colors
+        classes: dict = {}
+        for v, c in enumerate(colors):
+            classes[c] = classes.get(c, 0) | 1 << v
+        keyed = sorted(classes.items())
+        new = [0] * n
+        rank = 0
+        for _, members in keyed:
+            if members & (members - 1) == 0:
+                new[members.bit_length() - 1] = rank
+                rank += 1
+                continue
+            sigs = {}
+            for v in bits_of(members):
+                sig = []
+                for t, m in enumerate(masks[v]):
+                    for c, cm in keyed:
+                        if m & cm:
+                            sig.append(((t, c), (m & cm).bit_count()))
+                            m &= ~cm
+                            if not m:
+                                break
+                sigs[v] = tuple(sig)
+            ranking = {s: rank + i for i, s in enumerate(sorted(set(sigs.values())))}
+            for v, s in sigs.items():
+                new[v] = ranking[s]
+            rank += len(ranking)
+        if new == colors or rank == n:
+            return new
         colors = new
 
 
@@ -312,7 +352,12 @@ def _canonical_labelling(g: Digraph) -> tuple[bytes, bytes]:
 
     Minimizes the pair-type matrix over vertex orderings consistent with
     iterated profile refinement, branching on still-tied vertices, and keeps
-    the first ordering that realizes the least matrix.
+    the first ordering that realizes the least matrix.  A leaf spelling the
+    least matrix found so far gives an automorphism of g, and a child whose
+    vertex such automorphisms, fixing the vertices individualized on the way
+    to its node, map to an explored sibling is skipped (McKay and Piperno,
+    J. Symb. Comput. 60, 2014): its subtree is the image of the sibling's,
+    whose orderings come first and spell the same matrices.
     """
     if g._canon is not None:
         return g._canon
@@ -323,25 +368,26 @@ def _canonical_labelling(g: Digraph) -> tuple[bytes, bytes]:
     if n <= 1:
         g._canon = (bytes([n]), bytes(range(n)))
         return g._canon
-    types = g.type_matrix()
+    full = (1 << n) - 1
+    types = g.type_matrix()  # diagonal ABSENT (0): a Digraph has no loops
 
     def matrix_bytes(order: Sequence[int]) -> bytes:
-        buf = bytearray([n])
-        for i in order:
-            row = types[i]
-            for j in order:
-                buf.append(0 if i == j else row[j])
-        return bytes(buf)
+        pick = operator.itemgetter(*order)
+        return bytes([n]) + b"".join(bytes(pick(types[i])) for i in order)
 
-    offdiag = {types[x][y] for x in range(n) for y in range(n) if x != y}
-    if len(offdiag) == 1:
+    masks = _type_masks(g)
+    if any(
+        all(m[t] == full ^ 1 << v for v, m in enumerate(masks)) for t in range(4)
+    ):
+        # one pair type everywhere: every ordering spells the same matrix
         g._canon = (matrix_bytes(range(n)), bytes(range(n)))
         return g._canon
 
     best: Optional[bytes] = None
     best_order: Sequence[int] = ()
+    automorphisms: list = []  # as lists p with p[best_order[i]] == order[i]
 
-    def search(colors: list) -> None:
+    def search(colors: list, fixed: list) -> None:
         nonlocal best, best_order
         # first colour class (by rank) that is still a tie
         by_color: dict = {}
@@ -357,11 +403,33 @@ def _canonical_labelling(g: Digraph) -> tuple[bytes, bytes]:
             cand = matrix_bytes(order)
             if best is None or cand < best:
                 best, best_order = cand, order
+            elif cand == best:
+                p = [0] * n
+                for v, w in zip(best_order, order):
+                    p[v] = w
+                automorphisms.append(p)
             return
+        # orbits of the target class under the automorphisms fixing `fixed`
+        # (they keep this node's colouring, so they map the class to itself)
+        orbit = {v: v for v in target}
+        seen = 0
+        explored: list = []
         for v in target:
-            search(_refine_colors(types, _individualize(colors, v)))
+            for p in automorphisms[seen:]:
+                if all(p[x] == x for x in fixed):
+                    for x in target:
+                        a, b = orbit[x], orbit[p[x]]
+                        if a != b:
+                            for y in target:
+                                if orbit[y] == b:
+                                    orbit[y] = a
+            seen = len(automorphisms)
+            if any(orbit[u] == orbit[v] for u in explored):
+                continue
+            explored.append(v)
+            search(_refine_colors(masks, _individualize(colors, v)), fixed + [v])
 
-    search(_refine_colors(types, [0] * n))
+    search(_refine_colors(masks, [0] * n), [])
     assert best is not None
     g._canon = (best, bytes(best_order))
     return g._canon
@@ -370,9 +438,9 @@ def _canonical_labelling(g: Digraph) -> tuple[bytes, bytes]:
 def canonical_code(g: Digraph) -> bytes:
     """Canonical byte string: equal codes iff the graphs are isomorphic.
 
-    The least pair-type matrix found by the canonical search.  The search
-    degenerates on highly symmetric inputs, hence the order bound
-    CANONICAL_BOUND.
+    The least pair-type matrix found by the canonical search, which prunes
+    its tree by the automorphisms it finds.  Orders above CANONICAL_BOUND,
+    the largest the family enumeration builds, are refused.
     """
     if g.n > CANONICAL_BOUND:
         raise CanonicalBoundError(

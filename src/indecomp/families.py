@@ -569,6 +569,23 @@ def _star_edges(branch_lengths: tuple) -> Iterator[tuple]:
             yield idx(i, pos), idx(i, pos + 1)
 
 
+def _branch_types(lengths: tuple) -> list:
+    """Type tuples for branches of the given lengths, in product order, that
+    do not decrease (in NONEMPTY_TYPES order) along a run of equal lengths.
+
+    Swapping two equal branches is an isomorphism, and swapping a
+    decreasing adjacent pair gives a candidate earlier in product order, so
+    no tuple left out is the first candidate of its canonical code.
+    """
+    runs = [len(list(run)) for _, run in itertools.groupby(lengths)]
+    return [
+        sum(parts, ())
+        for parts in itertools.product(
+            *(itertools.combinations_with_replacement(NONEMPTY_TYPES, r) for r in runs)
+        )
+    ]
+
+
 def enum_Hstar_odd(branch_lengths: Iterable[int]) -> list:
     """Members on a starred-tree profile of one odd branch (listed first,
     length >= 3) and at least two even branches; their checks and claims
@@ -583,12 +600,10 @@ def _Hstar_odd(bl: tuple) -> Iterator[tuple]:
     halves = {i: bl[i - 1] // 2 for i in range(2, k + 1)}
     idx, _ = _star_layout(bl)
 
-    for seeds in itertools.product(
-        NONEMPTY_TYPES, *([NONEMPTY_TYPES] * (k - 1)), ALL_TYPES
+    for t01, branch_types, ta1 in itertools.product(
+        NONEMPTY_TYPES, _branch_types(bl[1:]), ALL_TYPES
     ):
-        t01 = seeds[0]
-        ts = {i: seeds[i - 1] for i in range(2, k + 1)}
-        ta1 = seeds[k]
+        ts = dict(enumerate(branch_types, start=2))
 
         rules: dict = {}
         for l in range(n1 + 1):
@@ -627,9 +642,8 @@ def _Hstar_even(bl: tuple, with_gamma: bool) -> Iterator[tuple]:
     vertices = [(i, p) for i in range(1, k + 1) for p in range(1, bl[i - 1] + 1)]
 
     tg_domain = NONEMPTY_TYPES if with_gamma else (None,)
-    for seeds in itertools.product(*([NONEMPTY_TYPES] * k), tg_domain):
-        ts = {i: seeds[i - 1] for i in range(1, k + 1)}
-        tg = seeds[k]
+    for branch_types, tg in itertools.product(_branch_types(bl), tg_domain):
+        ts = dict(enumerate(branch_types, start=1))
 
         types: dict = {}
         for i, p in vertices:

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
-from indecomp import core
+from indecomp import core, families
 from indecomp.core import (
     ABSENT,
     BACKWARD,
     CanonicalBoundError,
     DgFormatError,
+    Digraph,
     DigraphError,
     FORWARD,
     MUTUAL,
@@ -32,7 +35,12 @@ from indecomp.core import (
     serialize_dg,
     to_dot,
 )
-from indecomp.families import FAMILY_STAR_EVEN, FAMILY_STAR_ODD, enum_family_members
+from indecomp.families import (
+    FAMILY_STAR_EVEN,
+    FAMILY_STAR_ODD,
+    enum_family_members,
+    family_records,
+)
 
 # Small fixed graph used throughout: arcs 0->1 and 2->0.
 H3_ARCS = [(0, 1), (2, 0)]
@@ -57,6 +65,76 @@ def random_digraph(n, rng):
         if t & 2:
             arcs.append((y, x))
     return make_digraph(n, arcs)
+
+
+def random_typed_digraph(n, rng, allowed):
+    """Every pair of 0..n-1 drawn from the allowed pair types only."""
+    types = {
+        p: rng.choice(allowed) for p in itertools.combinations(range(n), 2)
+    }
+    return from_pair_types(n, types)
+
+
+def circulant(n, steps):
+    return make_digraph(n, [(i, (i + s) % n) for i in range(n) for s in steps])
+
+
+def paley_tournament(p):
+    """i -> j iff j - i is a nonzero square mod p (a tournament for p = 3 mod 4)."""
+    squares = {x * x % p for x in range(1, p)}
+    return circulant(p, sorted(squares))
+
+
+def copies(h, m, between):
+    """m disjoint copies of h, every pair across two copies of type between."""
+    s = h.n
+    types = {}
+    for a, b in itertools.combinations(range(m * s), 2):
+        if a // s == b // s:
+            types[(a, b)] = pair_type(h, a % s, b % s)
+        else:
+            types[(a, b)] = between
+    return from_pair_types(m * s, types)
+
+
+def shuffled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return relabel(g, perm)
+
+
+def labelling_corpus():
+    """The graphs whose canonical (code, ordering) pairs are pinned, in a
+    fixed order: every family record of orders 7..10, rebuilt so that no
+    cached search is read; seeded random digraphs of orders 2..12, uniform
+    and drawn from two pair types; relabelled copies of small graphs; and
+    circulants of orders 3..13, with Paley tournaments."""
+    for order in range(7, 11):
+        for key in families._family_keys(order):
+            for _, _, _, member in family_records(key):
+                yield Digraph(member.graph.n, member.graph.out_rows)
+    rng = random.Random(2010)
+    two_types = ((ABSENT, MUTUAL), (FORWARD, BACKWARD), (ABSENT, FORWARD))
+    for n in range(2, 13):
+        for i in range(30):
+            yield random_digraph(n, rng)
+            yield random_typed_digraph(n, rng, two_types[i % 3])
+    for m, s in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (6, 2)):
+        for _ in range(6):
+            h = random_digraph(s, rng)
+            yield shuffled(copies(h, m, rng.choice(list(PairType))), rng)
+    for n in range(3, 14):
+        step_sets = [
+            [s for s in range(1, n) if bits >> (s - 1) & 1]
+            for bits in range(1 << (n - 1))
+        ]
+        if n > 8:
+            step_sets = rng.sample(step_sets, 30)
+        for steps in step_sets:
+            yield circulant(n, steps)
+    for p in (7, 11, 19):
+        yield paley_tournament(p)
+        yield shuffled(paley_tournament(p), rng)
 
 
 # -- pair-type encoding (fixed contract) --------------------------------------
@@ -109,6 +187,22 @@ def test_make_digraph_validates():
         make_digraph(3, [(1, 1)])
     with pytest.raises(DigraphError):
         make_digraph(-1, [])
+
+
+def test_digraph_rejects_bad_rows():
+    for n, rows in (
+        (2, [4, 0]),        # bit beyond the order
+        (3, [1, 0, 0]),     # loop bit
+        (2, [-1, 0]),       # negative row
+        (3, [0, 0]),        # too few rows
+        (1, [0, 0]),        # too many rows
+        (-1, []),           # negative order
+    ):
+        with pytest.raises(DigraphError):
+            Digraph(n, rows)
+    with pytest.raises(DigraphError):
+        from_pair_types(-1, {})
+    assert Digraph(0, []).n == 0
 
 
 def test_arcs_and_counts():
@@ -323,17 +417,18 @@ def test_canonical_code_invariant_under_relabelling():
 
 
 def test_canonical_code_separates_iso_classes():
-    # all labelled digraphs on 3 vertices: codes agree exactly on iso classes
-    graphs = []
-    for bits in itertools.product(range(4), repeat=3):
-        types = dict(zip([(0, 1), (0, 2), (1, 2)], map(PairType, bits)))
-        graphs.append(from_pair_types(3, types))
-    for g, h in itertools.combinations(graphs, 2):
-        same_code = canonical_code(g) == canonical_code(h)
-        isomorphic = any(
-            relabel(g, perm) == h for perm in itertools.permutations(range(3))
-        )
-        assert same_code == isomorphic
+    # all labelled digraphs on 3 and on 4 vertices (4,096): codes agree
+    # exactly on the isomorphism classes found by trying every permutation
+    for n in (3, 4):
+        pairs = list(itertools.combinations(range(n), 2))
+        perms = list(itertools.permutations(range(n)))
+        classes = set()
+        for bits in itertools.product(range(4), repeat=len(pairs)):
+            g = from_pair_types(n, dict(zip(pairs, bits)))
+            least = min(relabel(g, perm).out_rows for perm in perms)
+            classes.add((canonical_code(g), least))
+        assert len({code for code, _ in classes}) == len(classes)
+        assert len({least for _, least in classes}) == len(classes)
 
 
 def test_canonical_code_bound():
@@ -352,6 +447,52 @@ def test_canonical_code_symmetric_graphs():
         6, {p: MUTUAL for p in itertools.combinations(range(6), 2)}
     )
     assert canonical_code(full) == canonical_code(relabel(full, [3, 1, 5, 0, 2, 4]))
+
+
+# recorded with the canonical search that visited every leaf of its tree
+LABELLING_SHA256 = "4718033a78bcadb5685b46ad7f17da14c44a56f326026504b0655f6eb755939b"
+
+
+def test_canonical_labelling_pinned_sha256():
+    # both the least matrix and the first ordering that spells it are pinned:
+    # find_isomorphism and the family memo read the ordering
+    h = hashlib.sha256()
+    for g in labelling_corpus():
+        code, ordering = core._canonical_labelling(g)
+        h.update(code + ordering)
+    assert h.hexdigest() == LABELLING_SHA256
+
+
+def test_canonical_search_refinements_on_equal_branches(monkeypatch):
+    # the first candidate of a star with six equal branches has 2 * 6!
+    # automorphisms; a search visiting every leaf refines 1,237 times
+    bl = (3,) + (2,) * 6
+    types, _ = next(families._Hstar_odd(bl))
+    g = from_pair_types(1 + sum(bl), types)
+    calls = []
+    refine = core._refine_colors
+    monkeypatch.setattr(
+        core, "_refine_colors", lambda *args: calls.append(1) or refine(*args)
+    )
+    canonical_code(g)
+    assert 0 < len(calls) <= 100
+
+
+def test_find_isomorphism_on_relabelled_paley_43():
+    # vertex-transitive with 903 automorphisms: a search visiting every leaf
+    # takes about 9 s here
+    g = paley_tournament(43)
+    assert all(
+        pair_type(g, x, y) in (FORWARD, BACKWARD)
+        for x, y in itertools.combinations(range(43), 2)
+    )
+    h = shuffled(g, random.Random(43))
+    started = time.perf_counter()
+    found = find_isomorphism(g, h)
+    elapsed = time.perf_counter() - started
+    assert found is not None
+    assert relabel(g, list(found)) == h
+    assert elapsed < 3.0, elapsed
 
 
 # -- .dg format -----------------------------------------------------------------

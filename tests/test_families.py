@@ -394,6 +394,41 @@ def test_enum_family_members_pinned_sha256():
         assert members_sha256(order) == digest, order
 
 
+def star_records_sha256(order):
+    h = hashlib.sha256()
+    for key in families._family_keys(order):
+        if key[0] not in ("SO", "SE"):
+            continue
+        for code, variant, params, member in family_records(key):
+            for part in (
+                repr(key),
+                code.hex(),
+                variant,
+                json.dumps(params, sort_keys=True),
+                serialize_dg(member.graph),
+            ):
+                h.update(part.encode() + b"\n")
+    return h.hexdigest()
+
+
+# recorded with the star generators that yielded every branch-type tuple
+STAR_RECORDS_SHA256 = {
+    7: "f3bbbee51294bbf8d9e901ebaa260efd71854d2bb9c6dfb6b9819e7f1e5250c1",
+    8: "6c7f78d6d42e474e8d946b42098991795344c69133e43cfe74991eeaaccc8f29",
+    9: "695b7a94bfdf5d884a8d11e9a2a0079b0625b7ca5be9fae24e1f120f650d88a2",
+    10: "fa673e1d06c2c91f7c8c5d1d7a296b2537e44b2613578883ea0aef3cb4bf589c",
+    11: "6d66935528279d017be81a339dc58c72f46590885f9556367518cc2ad1eab9cb",
+    12: "52f875fed9abb17592d82a63da1063a89b70b40e5616d4473e27e129ad33eded",
+}
+
+
+def test_star_records_pinned_sha256():
+    # swapping two equal branches is an isomorphism, so the branch-type
+    # tuples that decrease along a run of equal lengths add no member
+    for order, digest in STAR_RECORDS_SHA256.items():
+        assert star_records_sha256(order) == digest, order
+
+
 def test_checked_mode_verifies_on_cold_and_warm_memo(monkeypatch):
     # every base member plus every kept twin, as many as without a memo
     calls = []
