@@ -64,6 +64,9 @@ FORWARD = PairType.FORWARD
 BACKWARD = PairType.BACKWARD
 MUTUAL = PairType.MUTUAL
 ABSENT = PairType.ABSENT
+# the members in value order, so that _PAIR_TYPES[v] is PairType(v) without
+# the enum call
+_PAIR_TYPES = tuple(PairType)
 
 # Order bound of canonical_code.
 CANONICAL_BOUND = 16
@@ -80,8 +83,11 @@ class Digraph:
     __slots__ = ("n", "out_rows", "in_rows", "_canon")
 
     def __init__(self, n: int, out_rows: Sequence[int]):
-        self.n = n
-        self.out_rows = tuple(out_rows)
+        self.n = n = _order(n)
+        try:
+            self.out_rows = tuple(map(operator.index, out_rows))
+        except TypeError:
+            raise DigraphError("rows must be integers") from None
         if n < 0 or len(self.out_rows) != n:
             raise DigraphError(f"{len(self.out_rows)} rows for order {n}")
         in_rows = [0] * n
@@ -146,8 +152,17 @@ class Digraph:
         return mat
 
 
+def _order(n) -> int:
+    """n as an int (numpy integers included); DigraphError if it is not one."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise DigraphError(f"order must be an integer, not {n!r}") from None
+
+
 def make_digraph(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
     """Build a digraph, validating every arc."""
+    n = _order(n)
     if n < 0:
         raise DigraphError(f"negative order {n}")
     rows = [0] * n
@@ -170,6 +185,7 @@ def from_pair_types(n: int, types) -> Digraph:
 
     Pairs missing from the mapping are ABSENT.
     """
+    n = _order(n)
     rows = [0] * n
     for (x, y), t in types.items():
         if not (0 <= x < y < n):
@@ -193,7 +209,7 @@ def pair_type(g: Digraph, x: int, y: int) -> PairType:
         raise DigraphError(f"pair_type: ({x}, {y}) out of range for order {g.n}")
     a = g.out_rows[x] >> y & 1
     b = g.in_rows[x] >> y & 1
-    return PairType(a | (b << 1))
+    return _PAIR_TYPES[a | (b << 1)]
 
 
 def pairs_equivalent(

@@ -80,8 +80,6 @@ AUDIT_NAMES = (
     "kernel_reference",
 )
 
-_REVERSED_DIGIT = np.array([0, 2, 1, 3], dtype=np.uint8)
-
 # Exhaustive orders stay below 7, where family matching begins, so a
 # defect-one graph is out of scope there.  An exhaustive chunk's row verdict
 # indexes this tuple: 0 when decomposable, else 1 + min(defect, 2).
@@ -148,11 +146,14 @@ def _new_tallies() -> dict:
 class _Kernel:
     """Pair-type tensor over a block of same-order graphs.
 
-    t[g, x, y] holds the type digit of the ordered pair (x, y) in graph g.
-    Subset primality is decided by interval enumeration over t.  The
-    whole-graph closure route, closure_prime(), shares nothing with it: it
-    builds its own uint8 neighbour masks from digits and closes seed pairs
-    on bitmasks, dropping each row as soon as a closure falls short.
+    t[x, y, g] holds the type digit of the ordered pair (x, y) in graph g.
+    The tensor is pair-major because every audit compares per-pair columns
+    t[x, y] across all rows at once: pair-major, each column is one
+    contiguous vector over the block, where a row-major t[g, x, y] would
+    read it with a stride of n * n bytes.  Subset primality is decided by
+    interval enumeration over t.  The whole-graph closure route,
+    closure_prime(), shares nothing with it: it builds its own neighbour
+    masks from digits and grows the closure of each seed pair on bitmasks.
     """
 
     def __init__(self, order: int, digits: np.ndarray):
@@ -160,11 +161,11 @@ class _Kernel:
         self.count = digits.shape[0]
         self.pairs = list(itertools.combinations(range(order), 2))
         self.digits = digits
-        t = np.zeros((self.count, order, order), dtype=np.uint8)
+        t = np.zeros((order, order, self.count), dtype=np.uint8)
         for p, (x, y) in enumerate(self.pairs):
-            col = digits[:, p]
-            t[:, x, y] = col
-            t[:, y, x] = _REVERSED_DIGIT[col]
+            col = t[x, y]
+            col[...] = digits[:, p]
+            t[y, x] = (col & 1) << 1 | col >> 1
         self.t = t
         self._uniform: dict = {}
         self._prime: dict = {}
@@ -174,9 +175,10 @@ class _Kernel:
         key = (z, members)
         got = self._uniform.get(key)
         if got is None:
+            first = self.t[z, members[0]]
             got = np.ones(self.count, dtype=bool)
             for s in members[1:]:
-                got = got & (self.t[:, z, s] == self.t[:, z, members[0]])
+                got &= self.t[z, s] == first
             self._uniform[key] = got
         return got
 
@@ -187,7 +189,7 @@ class _Kernel:
         inside = set(members)
         for z in universe:
             if z not in inside:
-                acc = acc & self.uniform(z, members)
+                acc &= self.uniform(z, members)
         return acc
 
     def subset_prime(self, subset: Iterable[int]) -> np.ndarray:
@@ -211,39 +213,47 @@ class _Kernel:
         the closure of every seed pair reaches all vertices.
 
         Works on vertex masks built from digits alone, one pair column at a
-        time: masks[0, z] and masks[1, z] hold, per row, the out- and
-        in-neighbours of z.  z splits a closed set m when out & m or in & m
-        is neither empty nor m; a round adds every splitter, and the closure
-        is done when a round adds nothing.  After each seed pair the mask
-        arrays are compacted to the rows whose closure reached every vertex,
-        so a row found decomposable is never closed again.  The masks are
-        uint8, which holds every exhaustive order (at most 5) and keeps the
-        transient arrays below the peak memory of the audits that follow."""
+        time: masks[0, v] and masks[1, v] hold, per row, the out- and
+        in-neighbours of v.  For a seed pair {x, y}, d[v] = (out[v] ^
+        out[x]) | (in[v] ^ in[x]) holds the vertices that relate to v and
+        to x differently.  A vertex splits a set holding x exactly when it
+        splits {x, v} for some member v, so the closure of {x, y} is x plus
+        everything y reaches through the masks d: each round adds d[v] for
+        every member v, and the closure is done when a round adds nothing
+        to a row that is not yet full.  Every row is closed from every seed
+        pair: most rows are prime, and compacting the mask arrays to the
+        rows still prime costs more than the rounds it saves.
+
+        The mask dtype is the smallest unsigned type holding n bits: uint8
+        through order 8, which keeps the transient arrays of an exhaustive
+        chunk below the peak memory of the audits that follow, and wider
+        above it.  Each digit column is widened to that dtype before it is
+        shifted."""
         n = self.n
-        masks = np.zeros((2, n, self.count), dtype=np.uint8)
+        dtype = np.min_scalar_type((1 << n) - 1)
+        masks = np.zeros((2, n, self.count), dtype=dtype)
         for p, (x, y) in enumerate(self.pairs):
-            col = self.digits[:, p]
+            col = self.digits[:, p].astype(dtype, copy=False)
             fwd, bwd = col & 1, col >> 1
             masks[0, x] |= fwd << y
             masks[1, y] |= fwd << x
             masks[0, y] |= bwd << x
             masks[1, x] |= bwd << y
         full = (1 << n) - 1
-        live = np.arange(self.count)
-        for x, y in self.pairs:
-            m = np.full(live.shape[0], (1 << x) | (1 << y), dtype=np.uint8)
-            while True:
-                before = m.copy()
-                for z in range(n):
-                    a, b = masks[0, z] & m, masks[1, z] & m
-                    splits = (a != 0) & (a != m) | (b != 0) & (b != m)
-                    m |= splits * np.uint8(1 << z)
-                if np.array_equal(m, before):
-                    break
-            keep = m == full
-            live, masks = live[keep], masks.compress(keep, axis=2)
-        result = np.zeros(self.count, dtype=bool)
-        result[live] = True
+        result = np.ones(self.count, dtype=bool)
+        for x in range(n - 1):
+            split = masks ^ masks[:, x : x + 1]
+            d = split[0] | split[1]
+            others = [v for v in range(n) if v != x]
+            for y in range(x + 1, n):
+                m = np.full(self.count, (1 << x) | (1 << y), dtype=dtype)
+                while True:
+                    before = m.copy()
+                    for v in others:
+                        m |= d[v] * ((m >> v) & 1)
+                    if ((m == before) | (m == full)).all():
+                        break
+                result &= m == full
         return result
 
     def graph_at(self, row: int) -> Digraph:
@@ -254,13 +264,14 @@ class _Kernel:
 def _kernel_partition_audit(k: _Kernel, tallies: dict) -> None:
     """Vectorized partition-uniqueness and extension-bullet audits over
     every subset of size 3 or 4 inducing an indecomposable subgraph."""
-    n = k.n
+    n, t = k.n, k.t
+    partition, rules = tallies["outside_partition"], tallies["extension_rules"]
     for size in (3, 4):
         if size > n - 1:
             continue
         for xs in itertools.combinations(range(n), size):
             eligible = k.subset_prime(xs)
-            count = int(eligible.sum())
+            count = int(np.count_nonzero(eligible))
             if count == 0:
                 continue
             outside = tuple(v for v in range(n) if v not in xs)
@@ -274,41 +285,38 @@ def _kernel_partition_audit(k: _Kernel, tallies: dict) -> None:
                     match = np.ones(k.count, dtype=bool)
                     for w in xs:
                         if w != u:
-                            match &= k.t[:, w, u] == k.t[:, w, z]
+                            match &= t[w, u] == t[w, z]
                     cells[(z, u)] = match
                     hits += match
                 ext[z] = k.subset_prime(xs + (z,))
                 hits += ext[z]
-                tallies["outside_partition"]["checked"] += count
-                tallies["outside_partition"]["failed"] += int(
-                    (eligible & (hits != 1)).sum()
-                )
+                partition["checked"] += count
+                failed = eligible & (hits != 1)
+                partition["failed"] += int(np.count_nonzero(failed))
             for x, y in itertools.permutations(outside, 2):
                 uni = tuple(sorted(xs + (x, y)))
                 hyp_base = eligible & ~k.subset_prime(uni)
                 for u in xs:
                     hyp = hyp_base & cells[(x, u)] & ~cells[(y, u)]
-                    checked = int(hyp.sum())
+                    checked = int(np.count_nonzero(hyp))
                     if checked:
                         ok = k.interval_within(uni, tuple(sorted((u, x))))
-                        tallies["extension_rules"]["checked"] += checked
-                        tallies["extension_rules"]["failed"] += int(
-                            (hyp & ~ok).sum()
-                        )
+                        rules["checked"] += checked
+                        rules["failed"] += int(np.count_nonzero(hyp & ~ok))
                 hyp = hyp_base & bracket[x] & ~bracket[y]
-                checked = int(hyp.sum())
+                checked = int(np.count_nonzero(hyp))
                 if checked:
                     ok = k.interval_within(uni, tuple(sorted(xs + (y,))))
-                    tallies["extension_rules"]["checked"] += checked
-                    tallies["extension_rules"]["failed"] += int((hyp & ~ok).sum())
+                    rules["checked"] += checked
+                    rules["failed"] += int(np.count_nonzero(hyp & ~ok))
             for x, y in itertools.combinations(outside, 2):
                 uni = tuple(sorted(xs + (x, y)))
                 hyp = eligible & ~k.subset_prime(uni) & ext[x] & ext[y]
-                checked = int(hyp.sum())
+                checked = int(np.count_nonzero(hyp))
                 if checked:
                     ok = k.interval_within(uni, tuple(sorted((x, y))))
-                    tallies["extension_rules"]["checked"] += checked
-                    tallies["extension_rules"]["failed"] += int((hyp & ~ok).sum())
+                    rules["checked"] += checked
+                    rules["failed"] += int(np.count_nonzero(hyp & ~ok))
 
 
 def _kernel_existence_audits(k: _Kernel, whole: np.ndarray, tallies: dict) -> None:
@@ -321,7 +329,7 @@ def _kernel_existence_audits(k: _Kernel, whole: np.ndarray, tallies: dict) -> No
             continue
         for xs in itertools.combinations(range(n), size):
             eligible = whole & k.subset_prime(xs)
-            count = int(eligible.sum())
+            count = int(np.count_nonzero(eligible))
             if count == 0:
                 continue
             outside = tuple(v for v in range(n) if v not in xs)
@@ -330,9 +338,10 @@ def _kernel_existence_audits(k: _Kernel, whole: np.ndarray, tallies: dict) -> No
                 success |= k.subset_prime(tuple(sorted(xs + (x, y))))
             tallies["two_vertex_extension"]["checked"] += count
             tallies["two_vertex_extension"]["failed"] += int(
-                (eligible & ~success).sum()
+                np.count_nonzero(eligible & ~success)
             )
     if n >= 5:
+        prime_count = int(np.count_nonzero(whole))
         for a in range(n):
             success = np.zeros(k.count, dtype=bool)
             others = [v for v in range(n) if v != a]
@@ -343,8 +352,10 @@ def _kernel_existence_audits(k: _Kernel, whole: np.ndarray, tallies: dict) -> No
                     success |= k.subset_prime(tuple(sorted((a,) + rest)))
             if n == 5:
                 success |= whole
-            tallies["small_indecomposable"]["checked"] += int(whole.sum())
-            tallies["small_indecomposable"]["failed"] += int((whole & ~success).sum())
+            tallies["small_indecomposable"]["checked"] += prime_count
+            tallies["small_indecomposable"]["failed"] += int(
+                np.count_nonzero(whole & ~success)
+            )
 
 
 def _kernel_critical_audit(
@@ -359,42 +370,41 @@ def _kernel_critical_audit(
         edge[(x, y)] = k.subset_prime(tuple(v for v in range(n) if v not in (x, y)))
     for x in range(n):
         critical = whole & ~noncrit[x]
-        count = int(critical.sum())
+        count = int(np.count_nonzero(critical))
         if count == 0:
             continue
         nbrs = [y for y in range(n) if y != x]
         degree = np.zeros(k.count, dtype=np.int8)
         for y in nbrs:
-            e = edge[(min(x, y), max(x, y))]
-            degree += e
+            degree += edge[(min(x, y), max(x, y))]
         failed = critical & (degree > 2)
+        one, two = critical & (degree == 1), critical & (degree == 2)
         rest = tuple(v for v in range(n) if v != x)
         for y in nbrs:
-            e = edge[(min(x, y), max(x, y))]
-            cond = critical & (degree == 1) & e
+            cond = one & edge[(min(x, y), max(x, y))]
             if cond.any():
                 claim = tuple(v for v in rest if v != y)
                 failed |= cond & ~k.interval_within(rest, claim)
         for y, z in itertools.combinations(nbrs, 2):
             ey = edge[(min(x, y), max(x, y))]
             ez = edge[(min(x, z), max(x, z))]
-            cond = critical & (degree == 2) & ey & ez
+            cond = two & ey & ez
             if cond.any():
                 failed |= cond & ~k.interval_within(rest, tuple(sorted((y, z))))
         tallies["critical_vertex_rules"]["checked"] += count
-        tallies["critical_vertex_rules"]["failed"] += int(failed.sum())
+        tallies["critical_vertex_rules"]["failed"] += int(np.count_nonzero(failed))
 
 
 def _isomorphism_keys(k: _Kernel, rows: np.ndarray) -> np.ndarray:
     """Brute-force isomorphism key of each given row: the least base-4
     pair-digit integer over all n! relabelings of its vertices, so two rows
     share a key exactly when their graphs are isomorphic."""
-    sub = k.t[rows]
+    sub = k.t[:, :, rows].astype(np.int64)
     keys = np.full(rows.shape[0], np.iinfo(np.int64).max, dtype=np.int64)
     for perm in itertools.permutations(range(k.n)):
         key = np.zeros(rows.shape[0], dtype=np.int64)
         for p, (x, y) in enumerate(k.pairs):
-            key |= sub[:, perm[x], perm[y]].astype(np.int64) << (2 * p)
+            key |= sub[perm[x], perm[y]] << (2 * p)
         np.minimum(keys, key, out=keys)
     return keys
 
@@ -403,7 +413,8 @@ def _exhaustive_chunk(args: tuple) -> dict:
     order, lo, hi = args
     pairs = list(itertools.combinations(range(order), 2))
     idx = np.arange(lo, hi, dtype=np.int64)
-    digits = np.empty((idx.shape[0], len(pairs)), dtype=np.uint8)
+    # column-major, so that each pair's digit column is contiguous
+    digits = np.empty((idx.shape[0], len(pairs)), dtype=np.uint8, order="F")
     for p in range(len(pairs)):
         digits[:, p] = (idx >> (2 * p)) & 3
     k = _Kernel(order, digits)
@@ -412,7 +423,9 @@ def _exhaustive_chunk(args: tuple) -> dict:
     closure = k.closure_prime()
     oracle = k.subset_prime(tuple(range(order)))
     tallies["indec_dual_route"]["checked"] += k.count
-    tallies["indec_dual_route"]["failed"] += int((closure != oracle).sum())
+    tallies["indec_dual_route"]["failed"] += int(
+        np.count_nonzero(closure != oracle)
+    )
     whole = oracle
 
     noncrit = [
@@ -424,7 +437,8 @@ def _exhaustive_chunk(args: tuple) -> dict:
         defect += noncrit[x]
     verdict = (np.minimum(defect, 2) + 1) * whole
     verdicts = {
-        name: int((verdict == i).sum()) for i, name in enumerate(_EXHAUSTIVE_VERDICTS)
+        name: int(np.count_nonzero(verdict == i))
+        for i, name in enumerate(_EXHAUSTIVE_VERDICTS)
     }
 
     _kernel_partition_audit(k, tallies)

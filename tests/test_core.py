@@ -7,6 +7,7 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 
 from indecomp import core, families
@@ -203,6 +204,22 @@ def test_digraph_rejects_bad_rows():
     with pytest.raises(DigraphError):
         from_pair_types(-1, {})
     assert Digraph(0, []).n == 0
+
+
+def test_constructors_reject_non_integer_order_or_rows():
+    for build in (
+        lambda: Digraph(2, [0.5, 0]),
+        lambda: Digraph(2.0, [0, 0]),
+        lambda: Digraph(2, None),
+        lambda: make_digraph(2.5, []),
+        lambda: from_pair_types(2.5, {}),
+    ):
+        with pytest.raises(DigraphError):
+            build()
+    # numpy integers are integers
+    g = Digraph(np.int64(3), [np.uint8(2), np.int64(0), 0])
+    assert g == make_digraph(3, [(0, 1)])
+    assert type(g.n) is int and all(type(row) is int for row in g.out_rows)
 
 
 def test_arcs_and_counts():

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from indecomp.harness import (
     survey_exhaustive,
     survey_random,
 )
+from indecomp.modular import is_indecomposable
 import indecomp.harness as harness
 
 
@@ -70,6 +72,37 @@ def test_closure_prime_matches_subset_prime_on_random_rows(order, seed):
     assert 0 < closure.sum() < k.count
 
 
+def twin_planted_kernel(order, rows, seed):
+    """Kernel over seeded random rows, where every second row has a random
+    vertex pair made twins (each other vertex relates to both alike), so
+    both verdicts occur at every order."""
+    pairs = list(itertools.combinations(range(order), 2))
+    column = {pair: p for p, pair in enumerate(pairs)}
+    rng = np.random.default_rng(seed)
+    digits = rng.integers(0, 4, (rows, len(pairs)), dtype=np.uint8)
+    for row in range(0, rows, 2):
+        a, b = (int(v) for v in rng.choice(order, 2, replace=False))
+        for z in range(order):
+            if z in (a, b):
+                continue
+            # the digit of (z, a), read as the type of the ordered pair
+            digit = digits[row, column[tuple(sorted((z, a)))]]
+            kind = digit if z < a else (digit & 1) << 1 | digit >> 1
+            copied = kind if z < b else (kind & 1) << 1 | kind >> 1
+            digits[row, column[tuple(sorted((z, b)))]] = copied
+    return harness._Kernel(order, digits)
+
+
+@pytest.mark.parametrize("order, seed", [(8, 81), (9, 91), (12, 121)])
+def test_closure_prime_matches_reference_above_uint8(order, seed):
+    # orders above 8 need masks wider than uint8
+    k = twin_planted_kernel(order, 120, seed)
+    closure = k.closure_prime()
+    reference = [is_indecomposable(k.graph_at(row)) for row in range(k.count)]
+    assert closure.tolist() == reference
+    assert 0 < closure.sum() < k.count
+
+
 def test_dual_route_catches_a_wrong_closure_route(monkeypatch):
     # every one of the 4096 - 2460 decomposable order-4 rows must fail
     monkeypatch.setattr(
@@ -110,6 +143,20 @@ def test_exhaustive_defect_one_codes_pinned(order, digest):
     # recorded while canonical_code still ran on every defect-one row
     codes = survey_exhaustive(order).defect_one_codes
     assert hashlib.sha256("\n".join(codes).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("order, digest", [
+    (3, "125a3d3f9e3741a146c5682955f77c03a804fc6822c10c7e59411d29ffcb5be2"),
+    (4, "fdf3365d06ff06ee21e8b7c65da90b1a9e57e2674c27ce39772637d03bd4d887"),
+    (5, "9184be8cedeb32ba4027a8cabf3ea821dc82660d946d93716da37748005ae1da"),
+])
+def test_exhaustive_reports_pinned(order, digest):
+    # recorded before the kernel stored its type tensor pair-major: verdicts,
+    # every audit tally and the defect-one codes, elapsed left out
+    report = survey_exhaustive(order).to_json()
+    del report["elapsed"]
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # -- exhaustive mode ----------------------------------------------------------------
