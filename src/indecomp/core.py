@@ -160,13 +160,24 @@ def _order(n) -> int:
         raise DigraphError(f"order must be an integer, not {n!r}") from None
 
 
+def _endpoints(pair, what: str) -> tuple[int, int]:
+    """pair as two ints (numpy integers included); DigraphError if it is
+    not a pair of integers."""
+    try:
+        x, y = pair
+        return operator.index(x), operator.index(y)
+    except (TypeError, ValueError):
+        raise DigraphError(f"{what} {pair!r} is not a pair of integers") from None
+
+
 def make_digraph(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
     """Build a digraph, validating every arc."""
     n = _order(n)
     if n < 0:
         raise DigraphError(f"negative order {n}")
     rows = [0] * n
-    for x, y in arcs:
+    for arc in arcs:
+        x, y = _endpoints(arc, "arc")
         if not (0 <= x < n and 0 <= y < n):
             raise DigraphError(f"arc ({x}, {y}) out of range for order {n}")
         if x == y:
@@ -187,7 +198,8 @@ def from_pair_types(n: int, types) -> Digraph:
     """
     n = _order(n)
     rows = [0] * n
-    for (x, y), t in types.items():
+    for pair, t in types.items():
+        x, y = _endpoints(pair, "pair")
         if not (0 <= x < y < n):
             raise DigraphError(f"pair ({x}, {y}) must satisfy x < y < n")
         arcs = _PAIR_ARCS.get(t)

@@ -1,13 +1,13 @@
 """Exhaustive and randomized verification surveys over small digraphs.
 
 Exhaustive mode sweeps every labeled pair-type assignment of a given order
-with vectorized kernels: indecomposability is decided twice (splitter
-closure and subset enumeration, which must agree), criticality and the
-structural audits run on top, and every defect-one find is recorded by
-canonical code, computed once per isomorphism class in a chunk (rows are
-grouped by a brute-force permutation-minimum key first).  Each row's
-verdict comes from the kernels; on a fixed sample of rows, prime and
-decomposable in turn, the kernel_reference audit compares it with
+with vectorized kernels over bit-packed row sets: indecomposability is
+decided twice (splitter closure and subset enumeration, which must agree),
+criticality and the structural audits run on top, and every defect-one find
+is recorded by canonical code, computed once per isomorphism class and
+process (rows are grouped by a brute-force permutation-minimum key first).
+Each row's verdict comes from the kernels; on a fixed sample of rows, prime
+and decomposable in turn, the kernel_reference audit compares it with
 classify() and the per-graph primality routines.  Random mode samples
 assignments from a seeded generator and runs the same audits one graph at
 a time, plus one-pair mutants of the family members of that order; every
@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from multiprocessing import get_context
 from typing import Callable, Iterable, Optional
 
@@ -143,17 +144,41 @@ def _new_tallies() -> dict:
 # -- vectorized exhaustive kernel ---------------------------------------------------
 
 
-class _Kernel:
-    """Pair-type tensor over a block of same-order graphs.
+def _pack(values: np.ndarray) -> np.ndarray:
+    """Pack 0/1 values along the last axis into uint64 words: row r is bit
+    r % 64 of word r // 64, and the bits past the last row are zero."""
+    count = values.shape[-1]
+    out = np.zeros(values.shape[:-1] + (-(-count // 64) * 8,), dtype=np.uint8)
+    out[..., : -(-count // 8)] = np.packbits(values, axis=-1, bitorder="little")
+    return out.view("<u8")
 
-    t[x, y, g] holds the type digit of the ordered pair (x, y) in graph g.
-    The tensor is pair-major because every audit compares per-pair columns
-    t[x, y] across all rows at once: pair-major, each column is one
-    contiguous vector over the block, where a row-major t[g, x, y] would
-    read it with a stride of n * n bytes.  Subset primality is decided by
-    interval enumeration over t.  The whole-graph closure route,
-    closure_prime(), shares nothing with it: it builds its own neighbour
-    masks from digits and grows the closure of each seed pair on bitmasks.
+
+def _popcount(bits: np.ndarray) -> int:
+    return int(np.bitwise_count(bits).sum())
+
+
+def _at_least(planes: Iterable[np.ndarray], levels: int, like: np.ndarray) -> list:
+    """Saturating bit counters: item i holds the rows where at least i + 1
+    of the planes are set."""
+    counts = [np.zeros_like(like) for _ in range(levels)]
+    for plane in planes:
+        for i in range(levels - 1, 0, -1):
+            counts[i] |= counts[i - 1] & plane
+        counts[0] |= plane
+    return counts
+
+
+class _Kernel:
+    """Pair types over a block of same-order graphs, one bit per row.
+
+    Every row set is a packed uint64 array, row r being bit r % 64 of word
+    r // 64, with the bits past count zero (ones holds every row).  Each
+    ordered pair (x, y) has two bit planes, the low and the high bit of its
+    type digit; the reversed pair swaps them.  Rows where two ordered pairs
+    have one type are same(a, b), and subset primality is decided by
+    interval enumeration over those sets.  The whole-graph closure route,
+    closure_prime(), shares nothing with it: it builds its own arc planes
+    from digits and grows the closure of each seed pair bit-sliced.
     """
 
     def __init__(self, order: int, digits: np.ndarray):
@@ -161,31 +186,46 @@ class _Kernel:
         self.count = digits.shape[0]
         self.pairs = list(itertools.combinations(range(order), 2))
         self.digits = digits
-        t = np.zeros((order, order, self.count), dtype=np.uint8)
+        self.ones = _pack(np.ones(self.count, dtype=bool))
+        low, high = _pack(digits.T & 1), _pack(digits.T >> 1)
+        self.planes = {}
         for p, (x, y) in enumerate(self.pairs):
-            col = t[x, y]
-            col[...] = digits[:, p]
-            t[y, x] = (col & 1) << 1 | col >> 1
-        self.t = t
+            self.planes[(x, y)] = (low[p], high[p])
+            self.planes[(y, x)] = (high[p], low[p])
+        self._same: dict = {}
         self._uniform: dict = {}
         self._prime: dict = {}
 
+    def rows(self, bits: np.ndarray) -> np.ndarray:
+        """The row set as bool[count]."""
+        return np.unpackbits(bits.view(np.uint8), count=self.count,
+                             bitorder="little").view(bool)
+
+    def same(self, a: tuple, b: tuple) -> np.ndarray:
+        """Rows where the ordered pairs a and b have one type."""
+        key = (a, b) if a <= b else (b, a)
+        got = self._same.get(key)
+        if got is None:
+            (lo_a, hi_a), (lo_b, hi_b) = self.planes[a], self.planes[b]
+            got = self.ones ^ ((lo_a ^ lo_b) | (hi_a ^ hi_b))
+            self._same[key] = got
+        return got
+
     def uniform(self, z: int, members: tuple) -> np.ndarray:
-        """True where vertex z relates identically to every member."""
+        """Rows where vertex z relates identically to every member."""
         key = (z, members)
         got = self._uniform.get(key)
         if got is None:
-            first = self.t[z, members[0]]
-            got = np.ones(self.count, dtype=bool)
+            got = self.ones.copy()
             for s in members[1:]:
-                got &= self.t[z, s] == first
+                got &= self.same((z, members[0]), (z, s))
             self._uniform[key] = got
         return got
 
     def interval_within(self, universe: tuple, members: tuple) -> np.ndarray:
-        """True where members form an interval of the graph induced on
+        """Rows where members form an interval of the graph induced on
         universe."""
-        acc = np.ones(self.count, dtype=bool)
+        acc = self.ones.copy()
         inside = set(members)
         for z in universe:
             if z not in inside:
@@ -198,13 +238,13 @@ class _Kernel:
         got = self._prime.get(key)
         if got is None:
             if len(key) <= 2:
-                got = np.ones(self.count, dtype=bool)
+                got = self.ones
             else:
-                decomposable = np.zeros(self.count, dtype=bool)
+                decomposable = np.zeros_like(self.ones)
                 for size in range(2, len(key)):
                     for members in itertools.combinations(key, size):
                         decomposable |= self.interval_within(key, members)
-                got = ~decomposable
+                got = self.ones ^ decomposable
             self._prime[key] = got
         return got
 
@@ -212,48 +252,46 @@ class _Kernel:
         """Splitter-closure route for the whole graph: indecomposable iff
         the closure of every seed pair reaches all vertices.
 
-        Works on vertex masks built from digits alone, one pair column at a
-        time: masks[0, v] and masks[1, v] hold, per row, the out- and
-        in-neighbours of v.  For a seed pair {x, y}, d[v] = (out[v] ^
-        out[x]) | (in[v] ^ in[x]) holds the vertices that relate to v and
-        to x differently.  A vertex splits a set holding x exactly when it
-        splits {x, v} for some member v, so the closure of {x, y} is x plus
-        everything y reaches through the masks d: each round adds d[v] for
-        every member v, and the closure is done when a round adds nothing
-        to a row that is not yet full.  Every row is closed from every seed
-        pair: most rows are prime, and compacting the mask arrays to the
-        rows still prime costs more than the rounds it saves.
-
-        The mask dtype is the smallest unsigned type holding n bits: uint8
-        through order 8, which keeps the transient arrays of an exhaustive
-        chunk below the peak memory of the audits that follow, and wider
-        above it.  Each digit column is widened to that dtype before it is
-        shifted."""
-        n = self.n
-        dtype = np.min_scalar_type((1 << n) - 1)
-        masks = np.zeros((2, n, self.count), dtype=dtype)
+        Works on arc planes packed from digits alone, arc[(v, w)] holding
+        the rows with an arc v -> w.  split[(x, v, w)] holds the rows where
+        w relates to x and to v differently, that is where w splits {x, v}.
+        A vertex splits a set holding x exactly when it splits {x, v} for
+        some member v, so the closure of {x, y} is x plus everything y
+        reaches through split.  It is grown bit-sliced, one plane per
+        vertex w of the rows where w is not in the closure yet, frontier by
+        frontier: each round adds w to the rows where a vertex added in the
+        last round reaches it, and the closure is done when a round adds
+        nothing.  Every row is closed from every seed pair."""
+        n, ones = self.n, self.ones
+        fwd, bwd = _pack(self.digits.T & 1), _pack(self.digits.T >> 1)
+        arc = {}
         for p, (x, y) in enumerate(self.pairs):
-            col = self.digits[:, p].astype(dtype, copy=False)
-            fwd, bwd = col & 1, col >> 1
-            masks[0, x] |= fwd << y
-            masks[1, y] |= fwd << x
-            masks[0, y] |= bwd << x
-            masks[1, x] |= bwd << y
-        full = (1 << n) - 1
-        result = np.ones(self.count, dtype=bool)
-        for x in range(n - 1):
-            split = masks ^ masks[:, x : x + 1]
-            d = split[0] | split[1]
-            others = [v for v in range(n) if v != x]
-            for y in range(x + 1, n):
-                m = np.full(self.count, (1 << x) | (1 << y), dtype=dtype)
-                while True:
-                    before = m.copy()
-                    for v in others:
-                        m |= d[v] * ((m >> v) & 1)
-                    if ((m == before) | (m == full)).all():
-                        break
-                result &= m == full
+            arc[(x, y)], arc[(y, x)] = fwd[p], bwd[p]
+        split = {}
+        for x, v in self.pairs:
+            for w in range(n):
+                if w != x and w != v:
+                    split[(x, v, w)] = split[(v, x, w)] = (
+                        (arc[(x, w)] ^ arc[(v, w)]) | (arc[(w, x)] ^ arc[(w, v)])
+                    )
+        result = ones.copy()
+        for x, y in self.pairs:
+            outside = {w: ones for w in range(n) if w != x and w != y}
+            frontier = {y: ones}
+            while frontier:
+                added = {}
+                for w, rows in outside.items():
+                    reach = np.zeros_like(ones)
+                    for v, new in frontier.items():
+                        if v != w:
+                            reach |= split[(x, v, w)] & new
+                    reach &= rows
+                    if reach.any():
+                        added[w] = reach
+                        outside[w] = rows ^ reach
+                frontier = added
+            for rows in outside.values():
+                result &= ~rows
         return result
 
     def graph_at(self, row: int) -> Digraph:
@@ -264,14 +302,14 @@ class _Kernel:
 def _kernel_partition_audit(k: _Kernel, tallies: dict) -> None:
     """Vectorized partition-uniqueness and extension-bullet audits over
     every subset of size 3 or 4 inducing an indecomposable subgraph."""
-    n, t = k.n, k.t
+    n = k.n
     partition, rules = tallies["outside_partition"], tallies["extension_rules"]
     for size in (3, 4):
         if size > n - 1:
             continue
         for xs in itertools.combinations(range(n), size):
             eligible = k.subset_prime(xs)
-            count = int(np.count_nonzero(eligible))
+            count = _popcount(eligible)
             if count == 0:
                 continue
             outside = tuple(v for v in range(n) if v not in xs)
@@ -280,43 +318,43 @@ def _kernel_partition_audit(k: _Kernel, tallies: dict) -> None:
             ext = {}
             for z in outside:
                 bracket[z] = k.uniform(z, xs)
-                hits = bracket[z].astype(np.int8)
                 for u in xs:
-                    match = np.ones(k.count, dtype=bool)
+                    match = k.ones.copy()
                     for w in xs:
                         if w != u:
-                            match &= t[w, u] == t[w, z]
+                            match &= k.same((w, u), (w, z))
                     cells[(z, u)] = match
-                    hits += match
                 ext[z] = k.subset_prime(xs + (z,))
-                hits += ext[z]
+                # exactly one of the classes must hold z
+                one, two = _at_least(
+                    [bracket[z], *(cells[(z, u)] for u in xs), ext[z]], 2, k.ones
+                )
                 partition["checked"] += count
-                failed = eligible & (hits != 1)
-                partition["failed"] += int(np.count_nonzero(failed))
+                partition["failed"] += _popcount(eligible & (two | ~one))
             for x, y in itertools.permutations(outside, 2):
                 uni = tuple(sorted(xs + (x, y)))
                 hyp_base = eligible & ~k.subset_prime(uni)
                 for u in xs:
                     hyp = hyp_base & cells[(x, u)] & ~cells[(y, u)]
-                    checked = int(np.count_nonzero(hyp))
+                    checked = _popcount(hyp)
                     if checked:
                         ok = k.interval_within(uni, tuple(sorted((u, x))))
                         rules["checked"] += checked
-                        rules["failed"] += int(np.count_nonzero(hyp & ~ok))
+                        rules["failed"] += _popcount(hyp & ~ok)
                 hyp = hyp_base & bracket[x] & ~bracket[y]
-                checked = int(np.count_nonzero(hyp))
+                checked = _popcount(hyp)
                 if checked:
                     ok = k.interval_within(uni, tuple(sorted(xs + (y,))))
                     rules["checked"] += checked
-                    rules["failed"] += int(np.count_nonzero(hyp & ~ok))
+                    rules["failed"] += _popcount(hyp & ~ok)
             for x, y in itertools.combinations(outside, 2):
                 uni = tuple(sorted(xs + (x, y)))
                 hyp = eligible & ~k.subset_prime(uni) & ext[x] & ext[y]
-                checked = int(np.count_nonzero(hyp))
+                checked = _popcount(hyp)
                 if checked:
                     ok = k.interval_within(uni, tuple(sorted((x, y))))
                     rules["checked"] += checked
-                    rules["failed"] += int(np.count_nonzero(hyp & ~ok))
+                    rules["failed"] += _popcount(hyp & ~ok)
 
 
 def _kernel_existence_audits(k: _Kernel, whole: np.ndarray, tallies: dict) -> None:
@@ -329,21 +367,19 @@ def _kernel_existence_audits(k: _Kernel, whole: np.ndarray, tallies: dict) -> No
             continue
         for xs in itertools.combinations(range(n), size):
             eligible = whole & k.subset_prime(xs)
-            count = int(np.count_nonzero(eligible))
+            count = _popcount(eligible)
             if count == 0:
                 continue
             outside = tuple(v for v in range(n) if v not in xs)
-            success = np.zeros(k.count, dtype=bool)
+            success = np.zeros_like(k.ones)
             for x, y in itertools.combinations(outside, 2):
                 success |= k.subset_prime(tuple(sorted(xs + (x, y))))
             tallies["two_vertex_extension"]["checked"] += count
-            tallies["two_vertex_extension"]["failed"] += int(
-                np.count_nonzero(eligible & ~success)
-            )
+            tallies["two_vertex_extension"]["failed"] += _popcount(eligible & ~success)
     if n >= 5:
-        prime_count = int(np.count_nonzero(whole))
+        prime_count = _popcount(whole)
         for a in range(n):
-            success = np.zeros(k.count, dtype=bool)
+            success = np.zeros_like(k.ones)
             others = [v for v in range(n) if v != a]
             for extra in (3, 4):
                 if extra > len(others):
@@ -353,9 +389,7 @@ def _kernel_existence_audits(k: _Kernel, whole: np.ndarray, tallies: dict) -> No
             if n == 5:
                 success |= whole
             tallies["small_indecomposable"]["checked"] += prime_count
-            tallies["small_indecomposable"]["failed"] += int(
-                np.count_nonzero(whole & ~success)
-            )
+            tallies["small_indecomposable"]["failed"] += _popcount(whole & ~success)
 
 
 def _kernel_critical_audit(
@@ -367,52 +401,80 @@ def _kernel_critical_audit(
         return
     edge = {}
     for x, y in itertools.combinations(range(n), 2):
-        edge[(x, y)] = k.subset_prime(tuple(v for v in range(n) if v not in (x, y)))
+        edge[(x, y)] = edge[(y, x)] = k.subset_prime(
+            tuple(v for v in range(n) if v not in (x, y))
+        )
     for x in range(n):
         critical = whole & ~noncrit[x]
-        count = int(np.count_nonzero(critical))
+        count = _popcount(critical)
         if count == 0:
             continue
         nbrs = [y for y in range(n) if y != x]
-        degree = np.zeros(k.count, dtype=np.int8)
-        for y in nbrs:
-            degree += edge[(min(x, y), max(x, y))]
-        failed = critical & (degree > 2)
-        one, two = critical & (degree == 1), critical & (degree == 2)
+        one, two, three = _at_least((edge[(x, y)] for y in nbrs), 3, k.ones)
+        failed = critical & three
+        degree_one, degree_two = critical & one & ~two, critical & two & ~three
         rest = tuple(v for v in range(n) if v != x)
         for y in nbrs:
-            cond = one & edge[(min(x, y), max(x, y))]
+            cond = degree_one & edge[(x, y)]
             if cond.any():
                 claim = tuple(v for v in rest if v != y)
                 failed |= cond & ~k.interval_within(rest, claim)
         for y, z in itertools.combinations(nbrs, 2):
-            ey = edge[(min(x, y), max(x, y))]
-            ez = edge[(min(x, z), max(x, z))]
-            cond = two & ey & ez
+            cond = degree_two & edge[(x, y)] & edge[(x, z)]
             if cond.any():
                 failed |= cond & ~k.interval_within(rest, tuple(sorted((y, z))))
         tallies["critical_vertex_rules"]["checked"] += count
-        tallies["critical_vertex_rules"]["failed"] += int(np.count_nonzero(failed))
+        tallies["critical_vertex_rules"]["failed"] += _popcount(failed)
 
 
 def _isomorphism_keys(k: _Kernel, rows: np.ndarray) -> np.ndarray:
     """Brute-force isomorphism key of each given row: the least base-4
     pair-digit integer over all n! relabelings of its vertices, so two rows
     share a key exactly when their graphs are isomorphic."""
-    sub = k.t[:, :, rows].astype(np.int64)
-    keys = np.full(rows.shape[0], np.iinfo(np.int64).max, dtype=np.int64)
+    dtype = np.min_scalar_type((1 << 2 * len(k.pairs)) - 1)
+    sub = np.asfortranarray(k.digits[rows], dtype=dtype)
+    column = {}
+    for p, (x, y) in enumerate(k.pairs):
+        column[(x, y)] = sub[:, p]
+        column[(y, x)] = (sub[:, p] & 1) << 1 | sub[:, p] >> 1
+    # the type of each ordered pair, shifted to each pair's digit
+    shifted = {
+        (pair, p): col << (2 * p)
+        for pair, col in column.items()
+        for p in range(len(k.pairs))
+    }
+    keys = np.full(rows.shape[0], np.iinfo(dtype).max, dtype=dtype)
     for perm in itertools.permutations(range(k.n)):
-        key = np.zeros(rows.shape[0], dtype=np.int64)
+        key = np.zeros(rows.shape[0], dtype=dtype)
         for p, (x, y) in enumerate(k.pairs):
-            key |= sub[perm[x], perm[y]] << (2 * p)
+            key |= shifted[((perm[x], perm[y]), p)]
         np.minimum(keys, key, out=keys)
     return keys
+
+
+@lru_cache(maxsize=None)
+def _class_code(order: int, key: int) -> str:
+    """Canonical code (hex) of the class whose isomorphism key is key."""
+    pairs = itertools.combinations(range(order), 2)
+    types = {pair: key >> (2 * p) & 3 for p, pair in enumerate(pairs)}
+    return canonical_code(from_pair_types(order, types)).hex()
+
+
+def _verdict_bits(k: _Kernel, whole: np.ndarray, noncrit: list) -> tuple:
+    """Row sets of each exhaustive verdict, in _EXHAUSTIVE_VERDICTS order:
+    decomposable, then prime with defect 0, 1 and at least 2."""
+    one, two = _at_least(noncrit, 2, k.ones)
+    return (k.ones ^ whole, whole & ~one, whole & one & ~two, whole & two)
+
+
+def _bit(bits: np.ndarray, row: int) -> int:
+    return int(bits[row >> 6]) >> (row & 63) & 1
 
 
 def _exhaustive_chunk(args: tuple) -> dict:
     order, lo, hi = args
     pairs = list(itertools.combinations(range(order), 2))
-    idx = np.arange(lo, hi, dtype=np.int64)
+    idx = np.arange(lo, hi, dtype=np.uint32)  # 4^10 rows at order 5
     # column-major, so that each pair's digit column is contiguous
     digits = np.empty((idx.shape[0], len(pairs)), dtype=np.uint8, order="F")
     for p in range(len(pairs)):
@@ -423,48 +485,46 @@ def _exhaustive_chunk(args: tuple) -> dict:
     closure = k.closure_prime()
     oracle = k.subset_prime(tuple(range(order)))
     tallies["indec_dual_route"]["checked"] += k.count
-    tallies["indec_dual_route"]["failed"] += int(
-        np.count_nonzero(closure != oracle)
-    )
+    tallies["indec_dual_route"]["failed"] += _popcount(closure ^ oracle)
     whole = oracle
 
     noncrit = [
         k.subset_prime(tuple(v for v in range(order) if v != x))
         for x in range(order)
     ]
-    defect = np.zeros(k.count, dtype=np.int8)
-    for x in range(order):
-        defect += noncrit[x]
-    verdict = (np.minimum(defect, 2) + 1) * whole
+    verdict_bits = _verdict_bits(k, whole, noncrit)
     verdicts = {
-        name: int(np.count_nonzero(verdict == i))
-        for i, name in enumerate(_EXHAUSTIVE_VERDICTS)
+        name: _popcount(bits) for name, bits in zip(_EXHAUSTIVE_VERDICTS, verdict_bits)
     }
 
     _kernel_partition_audit(k, tallies)
     _kernel_existence_audits(k, whole, tallies)
     _kernel_critical_audit(k, whole, noncrit, tallies)
 
-    # canonical_code once per isomorphism class present in the chunk
-    rows = np.flatnonzero(whole & (defect == 1))
-    _, first = np.unique(_isomorphism_keys(k, rows), return_index=True)
-    codes = {canonical_code(k.graph_at(int(rows[i]))).hex() for i in first}
+    # canonical_code once per isomorphism class
+    rows = np.flatnonzero(k.rows(verdict_bits[2]))
+    keys = np.unique(_isomorphism_keys(k, rows))
+    codes = {_class_code(order, int(key)) for key in keys}
 
     # tie the kernels back to the per-graph reference implementations on a
     # deterministic sample of rows: the first prime row of each even window
     # of KERNEL_SAMPLE_STRIDE rows, the first decomposable row of each odd
     # one (the window's first row when none is)
+    prime_rows = k.rows(whole)
     for start in range(0, k.count, KERNEL_SAMPLE_STRIDE):
         want = start // KERNEL_SAMPLE_STRIDE % 2 == 0
-        hits = np.flatnonzero(whole[start : start + KERNEL_SAMPLE_STRIDE] == want)
+        hits = np.flatnonzero(prime_rows[start : start + KERNEL_SAMPLE_STRIDE] == want)
         row = start + (int(hits[0]) if hits.size else 0)
         g = k.graph_at(row)
         ref_prime = is_indecomposable(g)
         outcome = classify(g)
+        prime = bool(prime_rows[row])
+        defect = sum(_bit(bits, row) for bits in noncrit)
+        verdict = (min(defect, 2) + 1) if prime else 0
         ok = (
-            ref_prime == bool(closure[row]) == bool(oracle[row])
-            and outcome.verdict == _EXHAUSTIVE_VERDICTS[verdict[row]]
-            and outcome.defect == (int(defect[row]) if whole[row] else None)
+            ref_prime == bool(_bit(closure, row)) == prime
+            and outcome.verdict == _EXHAUSTIVE_VERDICTS[verdict]
+            and outcome.defect == (defect if prime else None)
         )
         if order <= SUBSET_ORACLE_BOUND:
             if (len(nontrivial_intervals(g)) == 0) != ref_prime:

@@ -222,6 +222,22 @@ def test_constructors_reject_non_integer_order_or_rows():
     assert type(g.n) is int and all(type(row) is int for row in g.out_rows)
 
 
+def test_constructors_reject_bad_endpoints():
+    for build in (
+        lambda: make_digraph(3, [(0.5, 1)]),
+        lambda: make_digraph(3, [(0, 1, 2)]),
+        lambda: make_digraph(3, [0]),
+        lambda: from_pair_types(3, {(0.5, 1): 1}),
+        lambda: from_pair_types(3, {(0, 1, 2): 1}),
+    ):
+        with pytest.raises(DigraphError, match="not a pair of integers"):
+            build()
+    # numpy integers are integers
+    arcs = [(np.int64(0), np.uint8(1))]
+    assert make_digraph(3, arcs) == from_pair_types(3, {arcs[0]: 1})
+    assert make_digraph(3, arcs).out_rows == (2, 0, 0)
+
+
 def test_arcs_and_counts():
     g = h3()
     assert sorted(g.arcs()) == sorted(H3_ARCS)

@@ -11,7 +11,12 @@ import json
 import numpy as np
 import pytest
 
-from indecomp.classifier import DECOMPOSABLE, MINUS_ONE_CRITICAL, THEOREM_VIOLATION
+from indecomp.classifier import (
+    DECOMPOSABLE,
+    MINUS_ONE_CRITICAL,
+    THEOREM_VIOLATION,
+    classify,
+)
 from indecomp.core import DigraphError, canonical_code, pair_type
 from indecomp.harness import (
     AUDIT_NAMES,
@@ -21,7 +26,7 @@ from indecomp.harness import (
     survey_exhaustive,
     survey_random,
 )
-from indecomp.modular import is_indecomposable
+from indecomp.modular import is_indecomposable, nontrivial_intervals
 import indecomp.harness as harness
 
 
@@ -69,7 +74,7 @@ def test_closure_prime_matches_subset_prime_on_random_rows(order, seed):
     k = random_kernel(order, 20_000, seed)
     closure = k.closure_prime()
     assert np.array_equal(closure, k.subset_prime(range(order)))
-    assert 0 < closure.sum() < k.count
+    assert 0 < k.rows(closure).sum() < k.count
 
 
 def twin_planted_kernel(order, rows, seed):
@@ -97,7 +102,7 @@ def twin_planted_kernel(order, rows, seed):
 def test_closure_prime_matches_reference_above_uint8(order, seed):
     # orders above 8 need masks wider than uint8
     k = twin_planted_kernel(order, 120, seed)
-    closure = k.closure_prime()
+    closure = k.rows(k.closure_prime())
     reference = [is_indecomposable(k.graph_at(row)) for row in range(k.count)]
     assert closure.tolist() == reference
     assert 0 < closure.sum() < k.count
@@ -106,7 +111,7 @@ def test_closure_prime_matches_reference_above_uint8(order, seed):
 def test_dual_route_catches_a_wrong_closure_route(monkeypatch):
     # every one of the 4096 - 2460 decomposable order-4 rows must fail
     monkeypatch.setattr(
-        harness._Kernel, "closure_prime", lambda self: np.ones(self.count, dtype=bool)
+        harness._Kernel, "closure_prime", lambda self: self.ones
     )
     report = survey_exhaustive(4)
     assert report.audits["indec_dual_route"] == {"checked": 4096, "failed": 1636}
@@ -133,6 +138,59 @@ def test_isomorphism_keys_agree_with_canonical_codes():
     codes = [canonical_code(k.graph_at(row)) for row in range(k.count)]
     pairs = set(zip(keys.tolist(), codes))
     assert len(pairs) == len(set(keys.tolist())) == len(set(codes))
+
+
+@pytest.mark.parametrize("rows", [1, 63, 65, 1000])
+def test_kernel_row_sets_are_packed_with_a_zero_tail(rows):
+    k = random_kernel(5, rows, rows)
+    whole = k.subset_prime(range(5))
+    noncrit = [k.subset_prime([v for v in range(5) if v != x]) for x in range(5)]
+    sets = [k.closure_prime(), whole, *noncrit, k.subset_prime((0, 2, 3)),
+            k.same((0, 1), (0, 2)), *harness._verdict_bits(k, whole, noncrit)]
+    for bits in [k.ones, *sets]:
+        assert bits.dtype == np.uint64 and bits.shape == (-(-rows // 64),)
+        assert not np.unpackbits(bits.view(np.uint8), bitorder="little")[rows:].any()
+    assert k.rows(k.ones).all()
+    graphs = [k.graph_at(row) for row in range(k.count)]
+    assert k.rows(sets[0]).tolist() == [is_indecomposable(g) for g in graphs]
+    assert k.rows(whole).tolist() == [not nontrivial_intervals(g) for g in graphs]
+    verdicts = np.stack([k.rows(bits) for bits in sets[-4:]])
+    assert (verdicts.sum(axis=0) == 1).all()
+    names = [harness._EXHAUSTIVE_VERDICTS[i] for i in np.argmax(verdicts, axis=0)]
+    assert names == [classify(g).verdict for g in graphs]
+
+
+def test_one_canonical_search_per_class(monkeypatch):
+    # 127 defect-one classes of order 5; each chunk searched its own again
+    # (444 searches) before the codes were memoized on the isomorphism key
+    calls = []
+    real = harness.canonical_code
+    monkeypatch.setattr(harness, "canonical_code", lambda g: calls.append(g) or real(g))
+    harness._class_code.cache_clear()
+    report = survey_exhaustive(5)
+    assert len(calls) == len(report.defect_one_codes) == 127
+
+
+def test_negated_three_subsets_fail_pinned_tallies(monkeypatch):
+    # every tally recorded at the commit before the row sets were packed,
+    # so the packed counters count failed rows as the bool arrays did
+    real = harness._Kernel.subset_prime
+
+    def negated(self, subset):
+        got = real(self, subset)
+        return self.ones ^ got if len(set(subset)) == 3 else got
+
+    monkeypatch.setattr(harness._Kernel, "subset_prime", negated)
+    assert survey_exhaustive(5).audits == {
+        "indec_dual_route": {"checked": 1048576, "failed": 0},
+        "outside_partition": {"checked": 15600640, "failed": 4034560},
+        "extension_rules": {"checked": 1560480, "failed": 782400},
+        "two_vertex_extension": {"checked": 4732560, "failed": 0},
+        "small_indecomposable": {"checked": 4213320, "failed": 0},
+        "critical_vertex_rules": {"checked": 1310520, "failed": 1310520},
+        "family_classification": {"checked": 0, "failed": 0},
+        "kernel_reference": {"checked": 256, "failed": 0},
+    }
 
 
 @pytest.mark.parametrize("order, digest", [
