@@ -100,7 +100,7 @@ def twin_planted_kernel(order, rows, seed):
 
 @pytest.mark.parametrize("order, seed", [(8, 81), (9, 91), (12, 121)])
 def test_closure_prime_matches_reference_above_uint8(order, seed):
-    # orders above 8 need masks wider than uint8
+    # orders past the exhaustive sweep's, up to RANDOM_ORDER_BOUND (12)
     k = twin_planted_kernel(order, 120, seed)
     closure = k.rows(k.closure_prime())
     reference = [is_indecomposable(k.graph_at(row)) for row in range(k.count)]
@@ -110,9 +110,7 @@ def test_closure_prime_matches_reference_above_uint8(order, seed):
 
 def test_dual_route_catches_a_wrong_closure_route(monkeypatch):
     # every one of the 4096 - 2460 decomposable order-4 rows must fail
-    monkeypatch.setattr(
-        harness._Kernel, "closure_prime", lambda self: self.ones
-    )
+    monkeypatch.setattr(harness._Kernel, "closure_prime", lambda self: self.ones)
     report = survey_exhaustive(4)
     assert report.audits["indec_dual_route"] == {"checked": 4096, "failed": 1636}
 
