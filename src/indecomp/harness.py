@@ -1,18 +1,20 @@
 """Exhaustive and randomized verification surveys over small digraphs.
 
+Both modes audit a chunk the same way: its graphs are a block of pair-type
+digits, and one vectorized kernel over bit-packed row sets runs the
+structural audits on every row at once.  Indecomposability is decided
+twice (splitter closure and subset enumeration, which must agree), and the
+partition, extension, existence and critical-vertex audits run on top.
 Exhaustive mode sweeps every labeled pair-type assignment of a given order
-with vectorized kernels over bit-packed row sets: indecomposability is
-decided twice (splitter closure and subset enumeration, which must agree),
-criticality and the structural audits run on top, and every defect-one find
-is recorded by canonical code, computed once per isomorphism class and
-process (rows are grouped by a brute-force permutation-minimum key first).
-Each row's verdict comes from the kernels; on a fixed sample of rows, prime
-and decomposable in turn, the kernel_reference audit compares it with
-classify() and the per-graph primality routines.  Random mode samples
-assignments from a seeded generator and runs the same audits one graph at
-a time, plus one-pair mutants of the family members of that order; every
-graph's verdict is classify()'s, so the verdict ladder lives only in the
-classifier.
+and takes each row's verdict from the kernel; every defect-one find is
+recorded by canonical code, computed once per isomorphism class and process
+(rows are grouped by a brute-force permutation-minimum key first), and on a
+fixed sample of rows, prime and decomposable in turn, the kernel_reference
+audit compares the verdict with classify() and the per-graph primality
+routines.  Random mode samples assignments from a seeded generator, plus
+one-pair mutants of the family members of that order, and takes every
+graph's verdict from classify(), one graph at a time, so the verdict ladder
+lives only in the classifier.
 
 Both modes cut the work into chunks fixed by sample count, never by worker
 count, so reports are reproducible at any parallelism.  One runner computes
@@ -25,7 +27,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from multiprocessing import get_context
 from typing import Callable, Iterable, Optional
 
@@ -40,27 +42,9 @@ from .classifier import (
     THEOREM_VIOLATION,
     classify,
 )
-from .core import (
-    Digraph,
-    DigraphError,
-    canonical_code,
-    from_pair_types,
-    mask_of,
-    pair_type,
-)
-from .criticality import check_lemma21
+from .core import Digraph, DigraphError, canonical_code, from_pair_types, pair_type
 from .families import MAX_ENUM_ORDER, enum_family_members
-from .modular import (
-    SUBSET_ORACLE_BOUND,
-    TheoremViolation,
-    _prime_mask,
-    check_outside_rules,
-    extend_by_two,
-    is_indecomposable,
-    nontrivial_intervals,
-    outside_partition,
-    small_indecomposable_around,
-)
+from .modular import SUBSET_ORACLE_BOUND, is_indecomposable, nontrivial_intervals
 
 EXHAUSTIVE_BOUND = 5
 RANDOM_ORDER_BOUND = 12
@@ -69,6 +53,8 @@ RANDOM_CHUNK = 2000
 # one row per KERNEL_SAMPLE_STRIDE-row window of an exhaustive chunk is
 # re-decided by the per-graph reference routines (the kernel_reference audit)
 KERNEL_SAMPLE_STRIDE = 4096
+# _isomorphism_keys packs a key into one numpy integer of 2 * C(n, 2) bits
+_ISOMORPHISM_KEY_BOUND = 8
 
 AUDIT_NAMES = (
     "indec_dual_route",
@@ -80,6 +66,9 @@ AUDIT_NAMES = (
     "family_classification",
     "kernel_reference",
 )
+# the audits the kernel runs on a whole chunk at once; the other two are
+# tallied one classified graph at a time
+_KERNEL_AUDITS = frozenset(AUDIT_NAMES) - {"family_classification", "kernel_reference"}
 
 # Exhaustive orders stay below 7, where family matching begins, so a
 # defect-one graph is out of scope there.  An exhaustive chunk's row verdict
@@ -299,9 +288,13 @@ class _Kernel:
         return from_pair_types(self.n, types)
 
 
-def _kernel_partition_audit(k: _Kernel, tallies: dict) -> None:
+def _kernel_partition_audit(k: _Kernel, tallies: dict, *, per_subset: bool) -> None:
     """Vectorized partition-uniqueness and extension-bullet audits over
-    every subset of size 3 or 4 inducing an indecomposable subgraph."""
+    every subset of size 3 or 4 inducing an indecomposable subgraph.
+
+    outside_partition is checked once per (prime subset, outside vertex),
+    or with per_subset once per prime subset, failing when any outside
+    vertex lies in zero or several classes; random mode counts that unit."""
     n = k.n
     partition, rules = tallies["outside_partition"], tallies["extension_rules"]
     for size in (3, 4):
@@ -316,6 +309,7 @@ def _kernel_partition_audit(k: _Kernel, tallies: dict) -> None:
             bracket = {}
             cells = {}
             ext = {}
+            misplaced = []
             for z in outside:
                 bracket[z] = k.uniform(z, xs)
                 for u in xs:
@@ -329,8 +323,13 @@ def _kernel_partition_audit(k: _Kernel, tallies: dict) -> None:
                 one, two = _at_least(
                     [bracket[z], *(cells[(z, u)] for u in xs), ext[z]], 2, k.ones
                 )
+                misplaced.append(eligible & (two | ~one))
+            if per_subset:
                 partition["checked"] += count
-                partition["failed"] += _popcount(eligible & (two | ~one))
+                partition["failed"] += _popcount(reduce(np.bitwise_or, misplaced))
+            else:
+                partition["checked"] += count * len(outside)
+                partition["failed"] += sum(map(_popcount, misplaced))
             for x, y in itertools.permutations(outside, 2):
                 uni = tuple(sorted(xs + (x, y)))
                 hyp_base = eligible & ~k.subset_prime(uni)
@@ -430,7 +429,12 @@ def _kernel_critical_audit(
 def _isomorphism_keys(k: _Kernel, rows: np.ndarray) -> np.ndarray:
     """Brute-force isomorphism key of each given row: the least base-4
     pair-digit integer over all n! relabelings of its vertices, so two rows
-    share a key exactly when their graphs are isomorphic."""
+    share a key exactly when their graphs are isomorphic.  Orders above
+    _ISOMORPHISM_KEY_BOUND have no numpy integer wide enough."""
+    if k.n > _ISOMORPHISM_KEY_BOUND:
+        raise DigraphError(
+            f"_isomorphism_keys: order {k.n} above bound {_ISOMORPHISM_KEY_BOUND}"
+        )
     dtype = np.min_scalar_type((1 << 2 * len(k.pairs)) - 1)
     sub = np.asfortranarray(k.digits[rows], dtype=dtype)
     column = {}
@@ -471,6 +475,39 @@ def _bit(bits: np.ndarray, row: int) -> int:
     return int(bits[row >> 6]) >> (row & 63) & 1
 
 
+def _audit_block(
+    order: int, digits: np.ndarray, audits: tuple, tallies: dict, *, per_subset: bool
+) -> Optional[tuple]:
+    """The chunk body of both survey modes: build a _Kernel over a block of
+    pair-type digits, one graph per row, and run the selected kernel audits
+    on every row at once.  Tallies of unselected audits stay untouched, and
+    per_subset is the outside_partition unit (see _kernel_partition_audit).
+
+    Returns None, building nothing, when audits selects none of
+    _KERNEL_AUDITS.  Otherwise returns (k, closure, oracle, noncrit): the
+    kernel, the rows the closure route finds prime (the audits' primality),
+    the subset oracle's prime rows when indec_dual_route is selected (else
+    None; the caller tallies it) and each one-vertex deletion's prime rows."""
+    if _KERNEL_AUDITS.isdisjoint(audits):
+        return None
+    k = _Kernel(order, digits)
+    closure = k.closure_prime()
+    oracle = k.subset_prime(range(order)) if "indec_dual_route" in audits else None
+    noncrit = [
+        k.subset_prime(tuple(v for v in range(order) if v != x)) for x in range(order)
+    ]
+    found = _new_tallies()
+    if not {"outside_partition", "extension_rules"}.isdisjoint(audits):
+        _kernel_partition_audit(k, found, per_subset=per_subset)
+    if not {"two_vertex_extension", "small_indecomposable"}.isdisjoint(audits):
+        _kernel_existence_audits(k, closure, found)
+    if "critical_vertex_rules" in audits:
+        _kernel_critical_audit(k, closure, noncrit, found)
+    for name in _KERNEL_AUDITS.intersection(audits) - {"indec_dual_route"}:
+        tallies[name] = found[name]
+    return k, closure, oracle, noncrit
+
+
 def _exhaustive_chunk(args: tuple) -> dict:
     order, lo, hi = args
     pairs = list(itertools.combinations(range(order), 2))
@@ -479,27 +516,17 @@ def _exhaustive_chunk(args: tuple) -> dict:
     digits = np.empty((idx.shape[0], len(pairs)), dtype=np.uint8, order="F")
     for p in range(len(pairs)):
         digits[:, p] = (idx >> (2 * p)) & 3
-    k = _Kernel(order, digits)
     tallies = _new_tallies()
-
-    closure = k.closure_prime()
-    oracle = k.subset_prime(tuple(range(order)))
+    k, whole, oracle, noncrit = _audit_block(
+        order, digits, AUDIT_NAMES, tallies, per_subset=False
+    )
     tallies["indec_dual_route"]["checked"] += k.count
-    tallies["indec_dual_route"]["failed"] += _popcount(closure ^ oracle)
-    whole = oracle
+    tallies["indec_dual_route"]["failed"] += _popcount(whole ^ oracle)
 
-    noncrit = [
-        k.subset_prime(tuple(v for v in range(order) if v != x))
-        for x in range(order)
-    ]
     verdict_bits = _verdict_bits(k, whole, noncrit)
     verdicts = {
         name: _popcount(bits) for name, bits in zip(_EXHAUSTIVE_VERDICTS, verdict_bits)
     }
-
-    _kernel_partition_audit(k, tallies)
-    _kernel_existence_audits(k, whole, tallies)
-    _kernel_critical_audit(k, whole, noncrit, tallies)
 
     # canonical_code once per isomorphism class
     rows = np.flatnonzero(k.rows(verdict_bits[2]))
@@ -522,7 +549,7 @@ def _exhaustive_chunk(args: tuple) -> dict:
         defect = sum(_bit(bits, row) for bits in noncrit)
         verdict = (min(defect, 2) + 1) if prime else 0
         ok = (
-            ref_prime == bool(_bit(closure, row)) == prime
+            ref_prime == prime
             and outcome.verdict == _EXHAUSTIVE_VERDICTS[verdict]
             and outcome.defect == (defect if prime else None)
         )
@@ -559,72 +586,25 @@ def survey_exhaustive(
     return _survey(order, "exhaustive", _exhaustive_chunk, chunks, workers, on_chunk)
 
 
-# -- per-graph audits (random mode) ----------------------------------------------------
+# -- random mode ---------------------------------------------------------------------
 
 
 def _audit_graph(
-    g: Digraph, audits: tuple, tallies: dict, codes: set
+    g: Digraph, tallies: dict, codes: set, dual: Optional[tuple] = None
 ) -> str:
-    """Run the selected audits on one graph, then classify it; returns its
-    verdict name.  family_classification is tallied for every graph that
-    reaches family matching, whatever audits selects."""
-    prime = is_indecomposable(g)
-    if "indec_dual_route" in audits and g.n <= SUBSET_ORACLE_BOUND:
-        oracle = len(nontrivial_intervals(g)) == 0
-        tallies["indec_dual_route"]["checked"] += 1
-        if oracle != prime:
-            tallies["indec_dual_route"]["failed"] += 1
-    out, inn = g.out_rows, g.in_rows
-    if "outside_partition" in audits or "extension_rules" in audits:
-        for size in (3, 4):
-            if size > g.n - 1:
-                continue
-            for xs in itertools.combinations(range(g.n), size):
-                if not _prime_mask(out, inn, mask_of(xs)):
-                    continue
-                try:
-                    part = outside_partition(g, xs)
-                except TheoremViolation:
-                    part = None
-                if "outside_partition" in audits:
-                    tallies["outside_partition"]["checked"] += 1
-                    if part is None:
-                        tallies["outside_partition"]["failed"] += 1
-                if "extension_rules" in audits:
-                    rules = tallies["extension_rules"]
-                    if part is None:
-                        rules["failed"] += 1
-                    else:
-                        try:
-                            rules["checked"] += check_outside_rules(g, part)
-                        except TheoremViolation:
-                            rules["failed"] += 1
-    if prime and "two_vertex_extension" in audits:
-        for size in (3, 4):
-            if g.n - size < 2:
-                continue
-            for xs in itertools.combinations(range(g.n), size):
-                if not _prime_mask(out, inn, mask_of(xs)):
-                    continue
-                tallies["two_vertex_extension"]["checked"] += 1
-                try:
-                    extend_by_two(g, xs)
-                except TheoremViolation:
-                    tallies["two_vertex_extension"]["failed"] += 1
-    if prime and "small_indecomposable" in audits and g.n >= 5:
-        for a in range(g.n):
-            tallies["small_indecomposable"]["checked"] += 1
-            try:
-                small_indecomposable_around(g, a)
-            except TheoremViolation:
-                tallies["small_indecomposable"]["failed"] += 1
-    if prime and "critical_vertex_rules" in audits and g.n >= 5:
-        results = check_lemma21(g)
-        tallies["critical_vertex_rules"]["checked"] += len(results)
-        tallies["critical_vertex_rules"]["failed"] += sum(
-            1 for ok in results.values() if not ok
-        )
+    """Classify one random-mode graph and return its verdict name.
+
+    Records the canonical code of a defect-one graph and tallies
+    family_classification for every graph that reaches family matching,
+    whatever audits selects.  dual, given when indec_dual_route is
+    selected, holds the graph's kernel bits from the closure route and the
+    subset oracle; the check passes when both agree with classify's verdict
+    being other than decomposable."""
     outcome = classify(g)
+    if dual is not None:
+        tallies["indec_dual_route"]["checked"] += 1
+        if len({*dual, outcome.verdict != DECOMPOSABLE}) > 1:
+            tallies["indec_dual_route"]["failed"] += 1
     if outcome.defect == 1:
         codes.add(canonical_code(g).hex())
     if outcome.verdict in (MINUS_ONE_CRITICAL, THEOREM_VIOLATION):
@@ -635,19 +615,24 @@ def _audit_graph(
 
 
 def _random_graph(order: int, pairs: list, rng) -> Digraph:
+    """One random-mode sample drawn on its own: a sample chunk draws the
+    same stream as one (count, len(pairs)) block."""
     return from_pair_types(order, {p: int(rng.integers(0, 4)) for p in pairs})
 
 
-def _mutant(g: Digraph, pairs: list, rng) -> Digraph:
-    """g with one random pair set to a random type other than its own."""
-    x, y = pairs[int(rng.integers(0, len(pairs)))]
-    old = int(pair_type(g, x, y))
-    new = int(rng.integers(0, 3))
-    if new >= old:
-        new += 1
-    types = {p: pair_type(g, *p) for p in pairs}
-    types[(x, y)] = new
-    return from_pair_types(g.n, types)
+def _mutant_digits(order: int, pairs: list, rng) -> np.ndarray:
+    """The digits of one one-pair mutant of every family member of the
+    order, in enumeration order.  Member by member, a pair index is drawn,
+    then a new type other than the pair's own."""
+    members = enum_family_members(order)
+    digits = np.array(
+        [[pair_type(m.graph, x, y) for x, y in pairs] for m in members], dtype=np.uint8
+    )
+    for row in digits:
+        p = int(rng.integers(0, len(pairs)))
+        new = int(rng.integers(0, 3))
+        row[p] = new + (new >= row[p])
+    return digits
 
 
 def _random_chunk(args: tuple) -> dict:
@@ -659,21 +644,27 @@ def _random_chunk(args: tuple) -> dict:
     )
     pairs = list(itertools.combinations(range(order), 2))
     if count is None:
-        graphs = [_mutant(m.graph, pairs, rng) for m in enum_family_members(order)]
+        digits = _mutant_digits(order, pairs, rng)
     else:
-        graphs = [_random_graph(order, pairs, rng) for _ in range(count)]
+        digits = rng.integers(0, 4, size=(count, len(pairs))).astype(np.uint8)
     tallies = _new_tallies()
+    block = _audit_block(order, digits, audits, tallies, per_subset=True)
+    duals = itertools.repeat(None)
+    if block is not None and "indec_dual_route" in audits:
+        k, closure, oracle, _ = block
+        duals = zip(k.rows(closure).tolist(), k.rows(oracle).tolist())
     verdicts: dict = {}
     codes: set = set()
-    for g in graphs:
-        verdict = _audit_graph(g, audits, tallies, codes)
+    for types, dual in zip(digits.tolist(), duals):
+        g = from_pair_types(order, dict(zip(pairs, types)))
+        verdict = _audit_graph(g, tallies, codes, dual)
         verdicts[verdict] = verdicts.get(verdict, 0) + 1
     return {
-        "visited": len(graphs),
+        "visited": len(digits),
         "verdicts": verdicts,
         "audits": tallies,
         "codes": codes,
-        "mutants": len(graphs) if count is None else 0,
+        "mutants": len(digits) if count is None else 0,
     }
 
 

@@ -36,8 +36,9 @@ from .core import Digraph, DigraphError, bits_of, mask_of, pair_type
 SUBSET_ORACLE_BOUND = 12
 
 # Entries of the _prime_mask memo.  It must hold the largest per-graph
-# working set, or a graph's own audits evict each other's answers: an
-# order-12 survey_random audit touches about 2.5k distinct universes.
+# working set, or a graph's own audits evict each other's answers: the
+# per-graph audit routines on one order-12 graph touch about 2.5k distinct
+# universes.
 PRIME_MEMO_SIZE = 1 << 12
 
 

@@ -17,7 +17,15 @@ from indecomp.classifier import (
     THEOREM_VIOLATION,
     classify,
 )
-from indecomp.core import DigraphError, canonical_code, pair_type
+from indecomp.core import (
+    DigraphError,
+    canonical_code,
+    from_pair_types,
+    mask_of,
+    pair_type,
+)
+from indecomp.criticality import check_lemma21
+from indecomp.families import enum_family_members
 from indecomp.harness import (
     AUDIT_NAMES,
     EXHAUSTIVE_BOUND,
@@ -26,7 +34,16 @@ from indecomp.harness import (
     survey_exhaustive,
     survey_random,
 )
-from indecomp.modular import is_indecomposable, nontrivial_intervals
+from indecomp.modular import (
+    TheoremViolation,
+    _prime_mask,
+    check_outside_rules,
+    extend_by_two,
+    is_indecomposable,
+    nontrivial_intervals,
+    outside_partition,
+    small_indecomposable_around,
+)
 import indecomp.harness as harness
 
 
@@ -136,6 +153,99 @@ def test_isomorphism_keys_agree_with_canonical_codes():
     codes = [canonical_code(k.graph_at(row)) for row in range(k.count)]
     pairs = set(zip(keys.tolist(), codes))
     assert len(pairs) == len(set(keys.tolist())) == len(set(codes))
+
+
+def test_isomorphism_keys_refuse_orders_above_their_bound():
+    # an order-9 key needs 72 bits; numpy has no integer that wide
+    with pytest.raises(DigraphError, match="order 9 above bound 8"):
+        harness._isomorphism_keys(random_kernel(9, 4, 9), np.arange(4))
+
+
+def per_graph_audits(g, tallies):
+    """The per-graph audit loop random mode ran before its audits moved
+    onto the kernel, kept as the reference for the kernel's tallies.
+    outside_partition is checked once per prime subset, and a
+    TheoremViolation there fails both it and extension_rules."""
+    prime = is_indecomposable(g)
+    out, inn = g.out_rows, g.in_rows
+    for size in (3, 4):
+        if size > g.n - 1:
+            continue
+        for xs in itertools.combinations(range(g.n), size):
+            if not _prime_mask(out, inn, mask_of(xs)):
+                continue
+            tallies["outside_partition"]["checked"] += 1
+            try:
+                part = outside_partition(g, xs)
+            except TheoremViolation:
+                tallies["outside_partition"]["failed"] += 1
+                tallies["extension_rules"]["failed"] += 1
+                continue
+            try:
+                tallies["extension_rules"]["checked"] += check_outside_rules(g, part)
+            except TheoremViolation:
+                tallies["extension_rules"]["failed"] += 1
+    if not prime:
+        return
+    for size in (3, 4):
+        if g.n - size < 2:
+            continue
+        for xs in itertools.combinations(range(g.n), size):
+            if not _prime_mask(out, inn, mask_of(xs)):
+                continue
+            tallies["two_vertex_extension"]["checked"] += 1
+            try:
+                extend_by_two(g, xs)
+            except TheoremViolation:
+                tallies["two_vertex_extension"]["failed"] += 1
+    if g.n >= 5:
+        for a in range(g.n):
+            tallies["small_indecomposable"]["checked"] += 1
+            try:
+                small_indecomposable_around(g, a)
+            except TheoremViolation:
+                tallies["small_indecomposable"]["failed"] += 1
+        results = check_lemma21(g)
+        tallies["critical_vertex_rules"]["checked"] += len(results)
+        tallies["critical_vertex_rules"]["failed"] += sum(
+            not ok for ok in results.values()
+        )
+
+
+def seeded_digits(order, rows, seed):
+    npairs = order * (order - 1) // 2
+    return np.random.default_rng(seed).integers(0, 4, (rows, npairs)).astype(np.uint8)
+
+
+def mutant_digits(order, seed):
+    pairs = list(itertools.combinations(range(order), 2))
+    return harness._mutant_digits(order, pairs, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("order, make", [
+    (6, lambda: seeded_digits(6, 300, 606)),
+    (7, lambda: seeded_digits(7, 200, 707)),
+    (8, lambda: seeded_digits(8, 120, 808)),
+    (7, lambda: mutant_digits(7, 77)),
+], ids=["order6", "order7", "order8", "mutants7"])
+def test_kernel_audits_match_the_per_graph_routines(order, make):
+    digits = make()
+    pairs = list(itertools.combinations(range(order), 2))
+    graphs = [from_pair_types(order, dict(zip(pairs, t))) for t in digits.tolist()]
+    want = harness._new_tallies()
+    for g in graphs:
+        per_graph_audits(g, want)
+    got = harness._new_tallies()
+    k, closure, oracle, _ = harness._audit_block(
+        order, digits, AUDIT_NAMES, got, per_subset=True
+    )
+    names = ("outside_partition", "extension_rules", "two_vertex_extension",
+             "small_indecomposable", "critical_vertex_rules")
+    assert {n: got[n] for n in names} == {n: want[n] for n in names}
+    assert all(want[n]["checked"] > 0 for n in names)
+    prime = [is_indecomposable(g) for g in graphs]
+    assert k.rows(closure).tolist() == prime
+    assert k.rows(oracle).tolist() == prime
 
 
 @pytest.mark.parametrize("rows", [1, 63, 65, 1000])
@@ -535,6 +645,165 @@ def test_theorem_violation_counts_once(monkeypatch):
     assert report.failures == 18
     assert sum(r["failures"] for r in records) == 18
     assert not report.ok
+
+
+def record_audited_graphs(monkeypatch):
+    """Patch harness._audit_graph to keep every graph random mode visits."""
+    seen = []
+    real = harness._audit_graph
+
+    def recording(g, *args):
+        seen.append(g)
+        return real(g, *args)
+
+    monkeypatch.setattr(harness, "_audit_graph", recording)
+    return seen
+
+
+def chunk_rng(seed, chunk_index):
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
+    )
+
+
+def test_sample_block_is_the_scalar_stream(monkeypatch):
+    # criterion 10 draws graphs one at a time with _random_graph; a sample
+    # chunk draws its digit block from the same stream
+    monkeypatch.setattr(harness, "RANDOM_CHUNK", 30)
+    seen = record_audited_graphs(monkeypatch)
+    survey_random(7, 50, 321, mutate_members=False)
+    pairs = list(itertools.combinations(range(7), 2))
+    want = []
+    for index, count in ((0, 30), (1, 20)):
+        rng = chunk_rng(321, index)
+        want += [harness._random_graph(7, pairs, rng) for _ in range(count)]
+    assert seen == want
+
+
+def scalar_mutant(g, pairs, rng):
+    """g with one random pair set to a random type other than its own, one
+    member at a time, as random mode drew mutants before it drew them as a
+    digit block."""
+    x, y = pairs[int(rng.integers(0, len(pairs)))]
+    old = int(pair_type(g, x, y))
+    new = int(rng.integers(0, 3))
+    if new >= old:
+        new += 1
+    types = {p: pair_type(g, *p) for p in pairs}
+    types[(x, y)] = new
+    return from_pair_types(g.n, types)
+
+
+@pytest.mark.parametrize("order", [7, 8])
+def test_mutant_block_is_the_scalar_stream(monkeypatch, order):
+    seen = record_audited_graphs(monkeypatch)
+    survey_random(order, 0, 99, audits=())
+    pairs = list(itertools.combinations(range(order), 2))
+    rng = chunk_rng(99, 0)
+    members = enum_family_members(order)
+    assert seen == [scalar_mutant(m.graph, pairs, rng) for m in members]
+
+
+@pytest.mark.parametrize("args, audits, digest", [
+    ((5, 300, 11), None, "c7b02c6d0a5c3039756883313ded8ebef40b1d8295ccd9282083c78a89e6f885"),
+    ((6, 500, 3), None, "17bc21a3740200dd78bc44635132ac407df62905e3b0716340e773670404b09b"),
+    ((7, 100, 5), None, "2b183500484324315735d8fdc7d6a72245a4c03a88c85990d8a5b16aef291c61"),
+    ((7, 0, 2024), None, "f6a317387f2fcdd23f98fe73e59bf347acaf309765d9b1254f8421054763e1e6"),
+    ((8, 150, 9), None, "a3e025851f9baec33da5cc753af821236d1069365891142eee262ac5f4c358d8"),
+    ((9, 60, 2), None, "280df5e3d43d2289f7d3d23d3303578da50cef91bd00386ab66f0b1f513a0649"),
+    ((7, 60, 4242), ("extension_rules",),
+     "1db76b26a6dea4a5ca7e9a2a519149ebcf033e040a746f1ae629d9d3a051a99f"),
+])
+def test_random_reports_pinned(args, audits, digest):
+    # recorded while random mode still ran its audits one graph at a time:
+    # verdicts, every audit tally and the defect-one codes, elapsed left out
+    report = survey_random(*args, audits=audits).to_json()
+    del report["elapsed"]
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("audits", [(), ("family_classification",)])
+def test_random_builds_no_kernel_without_kernel_audits(monkeypatch, audits):
+    def refuse(*args):
+        raise AssertionError("built a kernel")
+
+    monkeypatch.setattr(harness, "_Kernel", refuse)
+    report = survey_random(7, 40, 5, audits=audits)
+    assert report.visited == 40 + 340
+    assert report.audits["indec_dual_route"] == {"checked": 0, "failed": 0}
+    assert report.audits["family_classification"]["checked"] > 0
+
+
+def test_dual_route_catches_a_wrong_classify_verdict(monkeypatch):
+    # classify calls the first prime graph decomposable; the kernel's two
+    # primality routes still agree with each other, and the three-way check
+    # fails for that graph alone
+    real = harness.classify
+    demoted = []
+
+    def wrong(g):
+        outcome = real(g)
+        if outcome.verdict != DECOMPOSABLE and not demoted:
+            demoted.append(g)
+            return dataclasses.replace(outcome, verdict=DECOMPOSABLE)
+        return outcome
+
+    monkeypatch.setattr(harness, "classify", wrong)
+    report = survey_random(6, 50, 17, mutate_members=False)
+    assert len(demoted) == 1
+    assert report.audits["indec_dual_route"] == {"checked": 50, "failed": 1}
+    assert report.failures == 1
+
+
+# An order-5 graph that survey_random(5, 20, 4) samples: it is decomposable,
+# {0, 1, 2} induces a prime subgraph, and the outside vertices 3 and 4 are
+# twins of 2 and 0 over it, each in a cell of the outside partition.
+PLANT_DIGITS = [3, 0, 0, 1, 1, 1, 3, 2, 0, 0]
+PLANT_SUBSET = (0, 1, 2)
+
+
+def plant_uniform_row(monkeypatch):
+    """Make _Kernel.uniform(z, PLANT_SUBSET) also hold the row of
+    PLANT_DIGITS for both outside vertices z, so that each of them lies in
+    the bracket as well as in its cell.  Adding the row, not dropping one,
+    is what breaks the partition: a vertex dropped from the bracket lands
+    in ext instead, since ext is decided through uniform too."""
+    real = harness._Kernel.uniform
+    target = np.array(PLANT_DIGITS, dtype=np.uint8)
+
+    def planted(self, z, members):
+        got = real(self, z, members)
+        if members == PLANT_SUBSET:
+            got = got | harness._pack((self.digits == target).all(axis=1))
+        return got
+
+    monkeypatch.setattr(harness._Kernel, "uniform", planted)
+
+
+def test_planted_partition_failure_counts_per_subset_in_random_mode(monkeypatch):
+    pairs = list(itertools.combinations(range(5), 2))
+    g = from_pair_types(5, dict(zip(pairs, PLANT_DIGITS)))
+    part = outside_partition(g, PLANT_SUBSET)
+    assert not is_indecomposable(g)
+    assert part.class_of(3) == ("cell", 2) and part.class_of(4) == ("cell", 0)
+    clean = survey_random(5, 20, 4)
+    seen = record_audited_graphs(monkeypatch)
+    plant_uniform_row(monkeypatch)
+    report = survey_random(5, 20, 4)
+    assert seen.count(g) == 1
+    assert report.audits["outside_partition"] == {
+        "checked": clean.audits["outside_partition"]["checked"], "failed": 1}
+    assert report.failures == 1
+
+
+def test_planted_partition_failure_counts_per_outside_vertex_in_exhaustive_mode(
+    monkeypatch,
+):
+    plant_uniform_row(monkeypatch)
+    report = survey_exhaustive(5)
+    assert report.audits["outside_partition"] == {"checked": 11668480, "failed": 2}
+    assert report.failures == 2
 
 
 def test_random_worker_count_invisible(monkeypatch):
