@@ -6,10 +6,12 @@ For a defect-one graph of order >= 7 it reads the shape of the pairwise
 deletion graph and matches the input, by canonical code, against the few
 family parameterizations whose claimed shape and noncritical position fit
 it.  families.dispatch_keys looks those up in the family table, where each
-parameterization's claims are written once, and the candidates are
-families.family_records, the one memo per parameterization that
-enum_family_members also reads, so a process that enumerates and then
-classifies builds each parameterization once.  A verified isomorphism
+parameterization's claims are written once.  The candidates are the
+records with the input's code in families.family_records, the one memo per
+parameterization that enum_family_members also reads, so a process that
+enumerates and then classifies builds each parameterization once; an index
+from code to records, built once per parameterization from that memo,
+finds them without scanning every record.  A verified isomorphism
 witness accompanies every family verdict, read off the canonical orderings
 that the code match has already computed for the member and the input; its
 params are the memo's shared dict, to be treated as read-only.
@@ -18,6 +20,7 @@ params are the memo's shared dict, to be treated as read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from .core import (
@@ -81,6 +84,15 @@ class Classification:
 _candidate_records = family_records
 
 
+@lru_cache(maxsize=None)
+def _records_by_code(key: tuple) -> dict:
+    """family_records(key) grouped by canonical code, in record order."""
+    index: dict = {}
+    for record in family_records(key):
+        index.setdefault(record[0], []).append(record)
+    return index
+
+
 def match_family(
     g: Digraph, shape: ShapeDescriptor, noncritical: int
 ) -> Optional[FamilyMatch]:
@@ -94,8 +106,7 @@ def match_family(
     hits = [
         record
         for key in dispatch_keys(g.n, shape, noncritical)
-        for record in family_records(key)
-        if record[0] == code
+        for record in _records_by_code(key).get(code, ())
     ]
     if not hits:
         return None

@@ -22,6 +22,7 @@ from .core import (
     CANONICAL_BOUND,
     Digraph,
     DigraphError,
+    bits_of,
     canonical_code,
     parse_dg,
     serialize_dg,
@@ -48,7 +49,13 @@ from .families import (
     gen_V,
 )
 from .harness import roundtrip_check, survey_exhaustive, survey_random
-from .modular import SUBSET_ORACLE_BOUND, is_indecomposable, nontrivial_intervals
+from .modular import (
+    SUBSET_ORACLE_BOUND,
+    _interval_witness,
+    _is_interval_mask,
+    is_indecomposable,
+    nontrivial_intervals,
+)
 
 SINGLE_FAMILIES = {
     "gen_T": (gen_T, 1, "n"),
@@ -159,6 +166,14 @@ def _cmd_check(args) -> int:
     data: dict = {"order": g.n, "arcs": g.arc_count()}
     prime = is_indecomposable(g)
     data["indecomposable"] = prime
+    if not prime:
+        full = (1 << g.n) - 1
+        witness = _interval_witness(g.out_rows, g.in_rows, full)
+        if not (witness & (witness - 1) and witness != full
+                and _is_interval_mask(g.out_rows, g.in_rows, witness, full)):
+            raise DigraphError(
+                f"check: witness {witness:#x} is not a nontrivial interval")
+        data["interval"] = list(bits_of(witness))
     if g.n <= SUBSET_ORACLE_BOUND:
         intervals = nontrivial_intervals(g)
         data["nontrivial_intervals"] = len(intervals)

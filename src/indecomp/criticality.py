@@ -6,16 +6,23 @@ on the same vertices with an edge {x, y} exactly when deleting both leaves an
 indecomposable graph.  The shape of I(G) (cycle, path, starred tree, or an
 isolated leftover vertex) is what the classifier keys on, so this module also
 carries a small symmetric-graph type and a shape recognizer.
+
+Both deletion sweeps ask modular's memo.  The pairwise sweep reads the
+interval witness of each one-vertex deletion back from it and tests a
+critical vertex only against the partners that witness leaves open, at most
+two from order 5 on, plus every pair of noncritical vertices, instead of
+all n(n - 1)/2 pairs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import Digraph, DigraphError
-from .modular import _is_interval_mask, _prime_mask
+from .core import Digraph, DigraphError, bits_of
+from .modular import _interval_witness, _is_interval_mask, _prime_mask
 
 
 @dataclass(frozen=True)
@@ -37,14 +44,16 @@ class SymGraph:
     def has_edge(self, x: int, y: int) -> bool:
         return (min(x, y), max(x, y)) in self.edges
 
-    def neighbors(self, v: int) -> tuple:
-        out = set()
+    @functools.cached_property
+    def _adjacency(self) -> dict:
+        adj: dict = {}
         for a, b in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return tuple(sorted(out))
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+        return {v: tuple(sorted(ws)) for v, ws in adj.items()}
+
+    def neighbors(self, v: int) -> tuple:
+        return self._adjacency.get(v, ())
 
     def components(self) -> list:
         seen = set()
@@ -130,16 +139,35 @@ def critical_vertices(g: Digraph) -> CriticalityReport:
 
 def indecomposability_graph(g: Digraph) -> SymGraph:
     """Symmetric graph with {x, y} an edge iff deleting both keeps the rest
-    indecomposable.  Needs an indecomposable input of order >= 4."""
+    indecomposable.  Needs an indecomposable input of order >= 4.
+
+    Only candidate pairs are tested.  When G - x has a nontrivial interval
+    I (its witness), I minus y is an interval of G - {x, y}, nontrivial
+    unless |I| = 2 and y is in I, or |I| = n - 2 and y is the one vertex
+    outside I and x.  So a critical x is tested against at most two
+    vertices (three at order 4), and two noncritical vertices always.
+    """
     if g.n < 4:
         raise DigraphError("indecomposability_graph: need order >= 4")
     out, inn = g.out_rows, g.in_rows
     full = (1 << g.n) - 1
     if not _prime_mask(out, inn, full):
         raise DigraphError("indecomposability_graph: graph is decomposable")
+    candidates = set()
+    noncritical = []
+    for x in range(g.n):
+        rest = full ^ (1 << x)
+        witness = _interval_witness(out, inn, rest)
+        if not witness:
+            noncritical.append(x)
+            continue
+        size = witness.bit_count()
+        partners = (witness if size == 2 else 0) | (
+            rest ^ witness if size == g.n - 2 else 0)
+        candidates.update((min(x, y), max(x, y)) for y in bits_of(partners))
+    candidates.update(itertools.combinations(noncritical, 2))
     edges = frozenset(
-        (x, y)
-        for x, y in itertools.combinations(range(g.n), 2)
+        (x, y) for x, y in candidates
         if _prime_mask(out, inn, full ^ (1 << x) ^ (1 << y))
     )
     return SymGraph(g.n, edges)
@@ -297,8 +325,11 @@ def check_lemma21(g: Digraph) -> dict:
     interval once x is gone; degree 2 with neighbors {y, z} forces {y, z}
     itself.  Reads the critical vertices from critical_vertices and I(G)
     from indecomposability_graph, whose DigraphError a decomposable input
-    raises.  Returns {critical vertex: bool}; needs an indecomposable input
-    of order >= 5.
+    raises.  That sweep tests a critical vertex only against the at most
+    two partners its witness allows from order 5 on, so the degree test
+    holds by construction here; the kernel's critical-vertex audit, which
+    tests every pair, checks it independently.  Returns {critical vertex:
+    bool}; needs an indecomposable input of order >= 5.
     """
     if g.n < 5:
         raise DigraphError("check_lemma21: need order >= 5")

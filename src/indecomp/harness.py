@@ -394,7 +394,12 @@ def _kernel_existence_audits(k: _Kernel, whole: np.ndarray, tallies: dict) -> No
 def _kernel_critical_audit(
     k: _Kernel, whole: np.ndarray, noncrit: list, tallies: dict
 ) -> None:
-    """Vectorized degree and forced-interval audit for critical vertices."""
+    """Vectorized degree and forced-interval audit for critical vertices.
+
+    Every vertex pair is decided by subset_prime on purpose: the scalar
+    indecomposability_graph tests only the pairs its interval witnesses
+    leave open, so its degree bound holds by construction, and this audit
+    checks the bound independently of that shortcut."""
     n = k.n
     if n < 5:
         return

@@ -14,13 +14,18 @@ a (from b) catches every interval avoiding a (holding a but not b), after
 Ehrenfeucht, Gabow, McConnell & Sullivan (J. Algorithms 16, 1994).  The test
 suite holds one route against the other.
 
-Every primality question on the two-pivot route goes through _prime_mask,
-which keeps one bounded memo keyed on (out rows, in rows, universe).  The
-rows identify the graph, so a subgraph asked about by several audits of the
-same graph (the partition, the extension rules, the two-vertex extension,
-the deletion sweeps) is decided once.  The bound, PRIME_MEMO_SIZE, holds the
-whole working set of one graph; entries of earlier graphs age out.  The
-oracle does not go through the memo.
+Every primality question on the two-pivot route goes through
+_interval_witness, which answers 0 for an indecomposable universe and
+otherwise returns a nontrivial interval that the test found on the way: the
+proper closure of {a, b}, or a class a refinement could not split.
+_prime_mask is its negation.  One bounded memo, keyed on (out rows, in rows,
+universe), holds the witnesses.  The rows identify the graph, so a subgraph
+asked about by several audits of the same graph (the partition, the
+extension rules, the two-vertex extension, the deletion sweeps) is decided
+once, and the pairwise deletion sweep reads the one-vertex deletions'
+witnesses back from the memo.  The bound, PRIME_MEMO_SIZE, holds the whole
+working set of one graph; entries of earlier graphs age out.  The oracle
+does not go through the memo.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .core import Digraph, DigraphError, bits_of, mask_of, pair_type
 # nontrivial_intervals enumerates all 2^n subsets; keep that honest.
 SUBSET_ORACLE_BOUND = 12
 
-# Entries of the _prime_mask memo.  It must hold the largest per-graph
+# Entries of the _interval_witness memo.  It must hold the largest per-graph
 # working set, or a graph's own audits evict each other's answers: the
 # per-graph audit routines on one order-12 graph touch about 2.5k distinct
 # universes.
@@ -132,16 +137,18 @@ def _closure_mask(out, inn, seed: int, universe: int) -> int:
         m |= add
 
 
-def _refines_to_singletons(out, inn, pivot: int, universe: int) -> bool:
-    """Does refining the rest of `universe` from the vertex whose bit is
-    `pivot` end in singletons?
+def _refinement_witness(out, inn, pivot: int, universe: int) -> int:
+    """Refine the rest of `universe` from the vertex whose bit is `pivot`:
+    0 when it ends in singletons, else the first class left, a nontrivial
+    interval avoiding `pivot`.
 
     Each pivot v splits every class not holding v by the pair type of its
     members to v, and every vertex of a class that splits becomes a pivot
     again.  An interval avoiding `pivot` is never split, and when the
-    pivots run out every class left is such an interval, so the answer is
-    no exactly when some nontrivial interval avoids `pivot`.  Singleton
-    classes are dropped once made; their vertices still act as pivots.
+    pivots run out every class left is such an interval, so the run ends
+    in singletons exactly when no nontrivial interval avoids `pivot`.
+    Singleton classes are dropped once made; their vertices still act as
+    pivots.
     """
     classes = [universe ^ pivot]
     pending = pivot
@@ -161,32 +168,44 @@ def _refines_to_singletons(out, inn, pivot: int, universe: int) -> bool:
                 if part & (part - 1):
                     kept.append(part)
         if not kept:
-            return True
+            return 0
         classes = kept
-    return False
+    return classes[0]
 
 
 @functools.lru_cache(maxsize=PRIME_MEMO_SIZE)
-def _prime_mask(out: tuple, inn: tuple, universe: int) -> bool:
-    """Is the subgraph induced on `universe` indecomposable?
+def _interval_witness(out: tuple, inn: tuple, universe: int) -> int:
+    """0 when the subgraph induced on `universe` is indecomposable, else
+    the mask of one of its nontrivial intervals.
 
     Two-pivot test, with a and b the two lowest vertices: a nontrivial
     interval holding both keeps the closure of {a, b} proper, one avoiding
     a survives the refinement from a, and one holding a but not b survives
     the refinement from b.  The closure runs first, so most decomposable
-    universes exit after it.  Answers are memoized on (out, inn, universe),
-    so the rows must be tuples; the memo keeps the PRIME_MEMO_SIZE most
-    recently used entries across graphs.
+    universes exit after it, with the closure as their witness; otherwise
+    the witness is the first class a refinement leaves.  Answers are
+    memoized on (out, inn, universe), so the rows must be tuples; the memo
+    keeps the PRIME_MEMO_SIZE most recently used entries across graphs.
     """
     if universe.bit_count() < 3:
-        return True
+        return 0
     a = universe & -universe
     b = (universe ^ a) & -(universe ^ a)
-    return (
-        _closure_mask(out, inn, a | b, universe) == universe
-        and _refines_to_singletons(out, inn, a, universe)
-        and _refines_to_singletons(out, inn, b, universe)
-    )
+    closure = _closure_mask(out, inn, a | b, universe)
+    if closure != universe:
+        return closure
+    return (_refinement_witness(out, inn, a, universe)
+            or _refinement_witness(out, inn, b, universe))
+
+
+def _prime_mask(out: tuple, inn: tuple, universe: int) -> bool:
+    """Is the subgraph induced on `universe` indecomposable?  The negation
+    of _interval_witness, whose memo cache_info and cache_clear expose."""
+    return not _interval_witness(out, inn, universe)
+
+
+_prime_mask.cache_info = _interval_witness.cache_info
+_prime_mask.cache_clear = _interval_witness.cache_clear
 
 
 # -- public interval operations ---------------------------------------------------
@@ -212,7 +231,7 @@ def minimal_interval_containing(g: Digraph, xs: Iterable[int]) -> frozenset:
 
 def is_indecomposable(g: Digraph) -> bool:
     """Two-pivot route: one closure and two partition refinements (see
-    _prime_mask); orders 0..2 count as indecomposable."""
+    _interval_witness); orders 0..2 count as indecomposable."""
     return _prime_mask(g.out_rows, g.in_rows, (1 << g.n) - 1)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 
@@ -48,6 +49,12 @@ from indecomp.families import (
     gen_T,
     gen_U,
     gen_V,
+)
+from indecomp.modular import (
+    _interval_witness,
+    _is_interval_mask,
+    _prime_mask,
+    is_indecomposable,
 )
 
 
@@ -152,6 +159,17 @@ def test_classify_reads_the_enumeration_memo():
     assert family_records.cache_info().misses == misses
 
 
+def test_classify_makes_few_witness_misses():
+    # the pairwise sweep reads the one-vertex deletions' witnesses back from
+    # the memo and tests at most two partners per critical vertex; the
+    # all-pairs sweep made 1 + n + n(n - 1)/2 = 56 misses here
+    g = family_records(("F", 9, 0))[0][3].graph
+    n = g.n
+    _prime_mask.cache_clear()
+    assert classify(g).verdict == MINUS_ONE_CRITICAL
+    assert _prime_mask.cache_info().misses <= 1 + n + 2 * (n - 1)
+
+
 def test_match_family_none_for_wrong_position():
     g = gen_R(3)
     ig = indecomposability_graph(g)
@@ -175,6 +193,55 @@ def test_match_family_other_shape_matches_nothing():
     g = gen_R(3)
     shape = ShapeDescriptor(kind="other", vertices=tuple(range(7)))
     assert match_family(g, shape, 6) is None
+
+
+# -- the candidate-only pairwise sweep ------------------------------------------------
+
+
+def all_pairs_edges(g):
+    """I(G) by one primality test per vertex pair; every nonzero witness
+    met on the way must be a nontrivial interval of its universe."""
+    out, inn = g.out_rows, g.in_rows
+    full = (1 << g.n) - 1
+    edges = set()
+    universes = [full ^ (1 << x) for x in range(g.n)]
+    for x, y in itertools.combinations(range(g.n), 2):
+        universes.append(full ^ (1 << x) ^ (1 << y))
+        if _prime_mask(out, inn, universes[-1]):
+            edges.add((x, y))
+    for u in universes:
+        w = _interval_witness(out, inn, u)
+        if w:
+            assert w & ~u == 0 and w != u and w & (w - 1), (g, u, w)
+            assert _is_interval_mask(out, inn, w, u), (g, u, w)
+    return frozenset(edges)
+
+
+def test_ig_equals_the_all_pairs_sweep():
+    graphs = [
+        h
+        for order in (7, 8, 9, 10)
+        for m in enum_family_members(order)
+        for h in (m.graph, complement(m.graph), dual(m.graph))
+    ]
+    graphs += [gen(n) for gen in (gen_T, gen_U, gen_V) for n in range(3, 9)]
+    rng = random.Random(17)
+    for order in range(5, 12):
+        found = 0
+        while found < 12:
+            g = from_pair_types(order, {
+                p: PairType(rng.randrange(4))
+                for p in itertools.combinations(range(order), 2)
+            })
+            if is_indecomposable(g):
+                graphs.append(g)
+                found += 1
+    shapes = set()
+    for g in graphs:
+        ig = indecomposability_graph(g)
+        assert ig.edges == all_pairs_edges(g), g
+        shapes.add(recognize_shape(ig).kind)
+    assert {"path", "cycle", "star_tree", "other"} <= shapes
 
 
 # -- round trips ----------------------------------------------------------------------

@@ -155,6 +155,25 @@ def test_check_above_canonical_bound(capsys, tmp_path):
     assert "nontrivial_intervals" not in data
 
 
+def test_check_shows_an_interval_above_the_oracle_bound(capsys, tmp_path):
+    # gen_T(6) plus a twin of vertex 5: order 14, decomposable
+    from indecomp.core import make_digraph
+    from indecomp.modular import is_interval
+
+    base = gen_T(6)
+    arcs = list(base.arcs())
+    arcs += [(13 if a == 5 else a, 13 if b == 5 else b) for a, b in arcs if 5 in (a, b)]
+    g = make_digraph(14, arcs)
+    path = write_graph(tmp_path, g)
+    code, out, err = run(capsys, "check", path)
+    assert code == 0 and not err
+    data = json.loads(out)
+    assert data["order"] == 14 and data["indecomposable"] is False
+    assert "nontrivial_intervals" not in data
+    interval = data["interval"]
+    assert 2 <= len(interval) < 14 and is_interval(g, interval)
+
+
 def test_check_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(tmp_path / "absent.dg"))
     assert code == 2

@@ -24,6 +24,8 @@ from indecomp.modular import (
     OutsidePartition,
     TheoremViolation,
     _anchor_matches,
+    _interval_witness,
+    _is_interval_mask,
     _prime_mask,
     check_outside_rules,
     extend_by_two,
@@ -183,6 +185,17 @@ def test_prime_mask_matches_oracle_on_every_order4_universe():
     for g in all_digraphs(4):
         for u in range(1 << 4):
             assert _prime_mask(g.out_rows, g.in_rows, u) == oracle_prime(g, u), (g, u)
+
+
+def test_interval_witness_is_a_nontrivial_interval_on_every_order4_universe():
+    _prime_mask.cache_clear()
+    for g in all_digraphs(4):
+        for u in range(1 << 4):
+            w = _interval_witness(g.out_rows, g.in_rows, u)
+            assert (not w) == _prime_mask(g.out_rows, g.in_rows, u), (g, u)
+            if w:
+                assert w & ~u == 0 and w != u and w & (w - 1), (g, u, w)
+                assert _is_interval_mask(g.out_rows, g.in_rows, w, u), (g, u, w)
 
 
 def test_prime_mask_matches_oracle_on_random_graphs_and_deletions():
