@@ -9,8 +9,8 @@ it.  families.dispatch_keys looks those up in the family table, where each
 parameterization's claims are written once.  The candidates are the
 records with the input's code in families.family_records, the one memo per
 parameterization that enum_family_members also reads, so a process that
-enumerates and then classifies builds each parameterization once; an index
-from code to records, built once per parameterization from that memo,
+enumerates and then classifies builds each parameterization once; the same
+memo holds an index from code to records (families.records_by_code), which
 finds them without scanning every record.  A verified isomorphism
 witness accompanies every family verdict, read off the canonical orderings
 that the code match has already computed for the member and the input; its
@@ -20,7 +20,6 @@ params are the memo's shared dict, to be treated as read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 from .core import (
@@ -36,7 +35,7 @@ from .criticality import (
     recognize_shape,
     support,
 )
-from .families import dispatch_keys, family_records
+from .families import dispatch_keys, family_records, records_by_code
 from .modular import is_indecomposable
 
 DECOMPOSABLE = "decomposable"
@@ -79,18 +78,10 @@ class Classification:
 
 # -- candidate dispatch ------------------------------------------------------------
 
-# The candidate memo is families.family_records itself; this name is where
-# perfbench/tracer.py reads its hit and miss counts.
+# The candidate memo is families.family_records itself, which also holds
+# each key's code index; this name is where perfbench/tracer.py reads its
+# hit and miss counts.
 _candidate_records = family_records
-
-
-@lru_cache(maxsize=None)
-def _records_by_code(key: tuple) -> dict:
-    """family_records(key) grouped by canonical code, in record order."""
-    index: dict = {}
-    for record in family_records(key):
-        index.setdefault(record[0], []).append(record)
-    return index
 
 
 def match_family(
@@ -106,7 +97,7 @@ def match_family(
     hits = [
         record
         for key in dispatch_keys(g.n, shape, noncritical)
-        for record in _records_by_code(key).get(code, ())
+        for record in records_by_code(key).get(code, ())
     ]
     if not hits:
         return None

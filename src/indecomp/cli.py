@@ -12,6 +12,7 @@ classify consistency), selftest (quick end-to-end fixture audit).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -20,6 +21,7 @@ from typing import Optional
 from .classifier import OUT_OF_SCOPE_ORDER, classify
 from .core import (
     CANONICAL_BOUND,
+    DgFormatError,
     Digraph,
     DigraphError,
     bits_of,
@@ -77,16 +79,7 @@ TABLE_FAMILIES = {
 def _shape_json(shape: Optional[ShapeDescriptor]) -> Optional[dict]:
     if shape is None:
         return None
-    data = {"kind": shape.kind, "vertices": list(shape.vertices)}
-    if shape.path_edges is not None:
-        data["path_edges"] = shape.path_edges
-    if shape.cycle_vertices is not None:
-        data["cycle_vertices"] = shape.cycle_vertices
-    if shape.source is not None:
-        data["source"] = shape.source
-    if shape.branch_lengths is not None:
-        data["branch_lengths"] = list(shape.branch_lengths)
-    return data
+    return {k: v for k, v in dataclasses.asdict(shape).items() if v is not None}
 
 
 def _emit(data: dict) -> None:
@@ -95,7 +88,13 @@ def _emit(data: dict) -> None:
 
 def _load(path: str) -> Digraph:
     with open(path, "r", encoding="ascii") as fh:
-        return parse_dg(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DgFormatError(
+                f"{path}: byte {exc.object[exc.start]:#04x} is not ASCII"
+            ) from None
+    return parse_dg(text)
 
 
 # -- gen -----------------------------------------------------------------------

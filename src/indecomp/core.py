@@ -519,7 +519,7 @@ def parse_dg(text: str) -> Digraph:
     if not lines:
         raise DgFormatError("empty input")
     header = lines[0]
-    if not header.isdigit():
+    if not (header.isascii() and header.isdigit()):
         raise DgFormatError(f"malformed header line {header!r}")
     n = int(header)
     body = lines[1:]

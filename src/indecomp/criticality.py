@@ -5,7 +5,9 @@ decomposable graph.  The indecomposability graph I(G) is the symmetric graph
 on the same vertices with an edge {x, y} exactly when deleting both leaves an
 indecomposable graph.  The shape of I(G) (cycle, path, starred tree, or an
 isolated leftover vertex) is what the classifier keys on, so this module also
-carries a small symmetric-graph type and a shape recognizer.
+carries a small symmetric-graph type and a shape recognizer.  The type's
+cached adjacency is the only one: support and recognize_shape traverse it,
+and one walk lays every shape out as chains of consecutive vertices.
 
 Both deletion sweeps ask modular's memo.  The pairwise sweep reads the
 interval witness of each one-vertex deletion back from it and tests a
@@ -18,10 +20,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
-from .core import Digraph, DigraphError, bits_of
+from .core import Digraph, DigraphError, _endpoints, _order, bits_of
 from .modular import _interval_witness, _is_interval_mask, _prime_mask
 
 
@@ -36,7 +39,8 @@ class CriticalityReport:
 
 @dataclass(frozen=True)
 class SymGraph:
-    """Loop-free symmetric graph; edges are sorted vertex pairs."""
+    """Loop-free symmetric graph; edges are sorted vertex pairs, and
+    neighbors(v) reads an adjacency built once, on first use."""
 
     n: int
     edges: frozenset
@@ -59,24 +63,33 @@ class SymGraph:
         seen = set()
         comps = []
         for start in range(self.n):
-            if start in seen:
-                continue
-            stack = [start]
-            comp = {start}
-            while stack:
-                v = stack.pop()
-                for w in self.neighbors(v):
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            comps.append(tuple(sorted(comp)))
+            if start not in seen:
+                comp = _reach(self.neighbors, start)
+                seen |= comp
+                comps.append(tuple(sorted(comp)))
         return comps
 
 
+def _reach(neighbors: Callable[[int], Iterable[int]], start: int) -> set:
+    """The vertices reachable from start along neighbors."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in neighbors(stack.pop()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
 def make_symgraph(n: int, edges: Iterable[tuple[int, int]]) -> SymGraph:
+    """Build a symmetric graph, validating the order and every edge."""
+    n = _order(n)
+    if n < 0:
+        raise DigraphError(f"negative order {n}")
     norm = set()
-    for x, y in edges:
+    for edge in edges:
+        x, y = _endpoints(edge, "edge")
         if x == y:
             raise DigraphError(f"loop edge ({x}, {y}) not allowed")
         if not (0 <= x < n and 0 <= y < n):
@@ -196,90 +209,64 @@ def recognize_shape(
 
     Recognizes exact paths, cycles, and starred trees (one vertex of degree
     >= 3, every other vertex of degree <= 2); anything else is 'edgeless'
-    (no edges at all) or 'other'.
+    (no edges at all) or 'other'.  Reads ig.neighbors, filtered to the
+    restricted vertices, and lays each kind out by walk.
     """
     if restricted_to is None:
         verts = list(range(ig.n))
     else:
-        verts = sorted(set(restricted_to))
+        try:
+            verts = sorted(set(map(operator.index, restricted_to)))
+        except TypeError:
+            raise DigraphError("recognize_shape: vertices must be integers") from None
         if verts and not (0 <= verts[0] and verts[-1] < ig.n):
             raise DigraphError("recognize_shape: vertex out of range")
     inside = set(verts)
-    edges = [e for e in ig.edges if e[0] in inside and e[1] in inside]
-    if not edges:
+
+    def nbrs(v: int) -> list:
+        return [w for w in ig.neighbors(v) if w in inside]
+
+    deg = {v: len(nbrs(v)) for v in verts}
+    m = sum(deg.values()) // 2
+    if not m:
         return ShapeDescriptor(kind="edgeless", vertices=tuple(verts))
-
-    adj: dict = {v: [] for v in verts}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    for v in adj:
-        adj[v].sort()
-    deg = {v: len(adj[v]) for v in verts}
-
-    # connectivity over the restricted vertex set
-    stack = [verts[0]]
-    seen = {verts[0]}
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != len(verts):
+    n = len(verts)
+    if len(_reach(nbrs, verts[0])) != n:
         return ShapeDescriptor(kind="other", vertices=tuple(verts))
 
-    n = len(verts)
-    m = len(edges)
-
-    def walk(prev: int, cur: int) -> list:
-        # follow degree-2 vertices until a leaf or the high-degree source
-        out = [cur]
-        while deg[cur] == 2:
-            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-            prev, cur = cur, nxt
-            out.append(cur)
-        return out
-
-    if all(deg[v] == 2 for v in verts) and m == n and n >= 3:
-        start = verts[0]
-        cycle = [start]
-        prev, cur = start, adj[start][0]
+    def walk(start: int, first: int) -> tuple:
+        # start, then on from first through degree-2 vertices, up to a
+        # vertex of another degree or back to start (not repeated)
+        chain = [start]
+        prev, cur = start, first
         while cur != start:
-            cycle.append(cur)
-            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-            prev, cur = cur, nxt
-        assert len(cycle) == n
-        return ShapeDescriptor(
-            kind="cycle", vertices=tuple(cycle), cycle_vertices=n
-        )
+            chain.append(cur)
+            if deg[cur] != 2:
+                break
+            a, b = nbrs(cur)
+            prev, cur = cur, a if a != prev else b
+        return tuple(chain)
 
-    leaves = [v for v in verts if deg[v] == 1]
     high = [v for v in verts if deg[v] >= 3]
-
-    if m == n - 1 and len(leaves) == 2 and not high:
-        start = min(leaves)
-        seq = [start] + walk(start, adj[start][0])
-        assert len(seq) == n
-        return ShapeDescriptor(
-            kind="path", vertices=tuple(seq), path_edges=m
-        )
-
+    if all(d == 2 for d in deg.values()):
+        cycle = walk(verts[0], nbrs(verts[0])[0])
+        return ShapeDescriptor(kind="cycle", vertices=cycle, cycle_vertices=n)
+    if m == n - 1 and not high:
+        start = min(v for v in verts if deg[v] == 1)
+        path = walk(start, nbrs(start)[0])
+        return ShapeDescriptor(kind="path", vertices=path, path_edges=m)
     if m == n - 1 and len(high) == 1:
         source = high[0]
         branches = sorted(
-            (tuple(walk(source, u)) for u in adj[source]),
+            (walk(source, u)[1:] for u in nbrs(source)),
             key=lambda b: (len(b), b),
         )
-        assert sum(len(b) for b in branches) == n - 1
-        flat = (source,) + tuple(v for b in branches for v in b)
         return ShapeDescriptor(
             kind="star_tree",
-            vertices=flat,
+            vertices=(source,) + tuple(v for b in branches for v in b),
             source=source,
-            branch_lengths=tuple(len(b) for b in branches),
+            branch_lengths=tuple(map(len, branches)),
         )
-
     return ShapeDescriptor(kind="other", vertices=tuple(verts))
 
 
@@ -287,31 +274,27 @@ def shape_edges(shape: ShapeDescriptor) -> frozenset:
     """Edge set laid out by a path/cycle/star_tree/edgeless descriptor.
 
     Inverts recognize_shape: feeding the result back through make_symgraph
-    and recognize_shape reproduces the descriptor.  'other' descriptors do
-    not carry a layout and are rejected.
+    and recognize_shape reproduces the descriptor.  Every kind is a list of
+    chains of consecutive vertices: a path is one chain, a cycle one chain
+    closed on its first vertex, and a starred tree one chain per branch,
+    each starting at the source.  'other' descriptors do not carry a layout
+    and are rejected.
     """
+    vs = shape.vertices
     if shape.kind == "edgeless":
-        return frozenset()
-    if shape.kind == "path":
-        vs = shape.vertices
-        return frozenset(
-            (min(a, b), max(a, b)) for a, b in zip(vs, vs[1:])
-        )
-    if shape.kind == "cycle":
-        vs = shape.vertices
-        hops = list(zip(vs, vs[1:])) + [(vs[-1], vs[0])]
-        return frozenset((min(a, b), max(a, b)) for a, b in hops)
-    if shape.kind == "star_tree":
-        edges = set()
-        pos = 1
-        for length in shape.branch_lengths:
-            prev = shape.source
-            for v in shape.vertices[pos:pos + length]:
-                edges.add((min(prev, v), max(prev, v)))
-                prev = v
-            pos += length
-        return frozenset(edges)
-    raise DigraphError(f"shape_edges: no layout for kind {shape.kind!r}")
+        chains = []
+    elif shape.kind == "path":
+        chains = [vs]
+    elif shape.kind == "cycle":
+        chains = [vs + vs[:1]]
+    elif shape.kind == "star_tree":
+        ends = list(itertools.accumulate(shape.branch_lengths, initial=1))
+        chains = [vs[:1] + vs[i:j] for i, j in zip(ends, ends[1:])]
+    else:
+        raise DigraphError(f"shape_edges: no layout for kind {shape.kind!r}")
+    return frozenset(
+        (min(a, b), max(a, b)) for c in chains for a, b in zip(c, c[1:])
+    )
 
 
 # -- forced intervals around critical vertices -----------------------------------------
@@ -352,22 +335,3 @@ def check_lemma21(g: Digraph) -> dict:
         else:
             results[x] = True
     return results
-
-
-# -- export -----------------------------------------------------------------------------
-
-
-def symgraph_to_dot(
-    ig: SymGraph, highlight: Optional[int] = None, name: str = "ig"
-) -> str:
-    """DOT text for a symmetric graph; highlight fills one vertex."""
-    out = [f"graph {name} {{"]
-    for v in range(ig.n):
-        if v == highlight:
-            out.append(f"  {v} [style=filled, fillcolor=lightgray];")
-        else:
-            out.append(f"  {v};")
-    for a, b in sorted(ig.edges):
-        out.append(f"  {a} -- {b};")
-    out.append("}")
-    return "\n".join(out) + "\n"

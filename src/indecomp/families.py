@@ -14,7 +14,7 @@ family_records or the command line, passes those checks and a bound of
 MAX_ENUM_ORDER on its claimed order before any shape or candidate is built.
 family_records(key) is the one memo per parameterization: its
 base members with their complement/dual twins and canonical codes, built
-once per process.  enum_family_members unions it over an order's keys, and
+once per process, with an index from code to records (records_by_code).  enum_family_members unions it over an order's keys, and
 classifier.match_family reads it for the keys dispatch_keys looks up from
 an observed shape in the table's claims, so members, their params and the
 memo's records are shared objects to be treated as read-only.
@@ -920,12 +920,21 @@ def family_records(key: tuple) -> tuple:
     cache_info and cache_clear are the memo's.
     """
     _key_kind(key)
-    return _records_memo(key)
+    return _records_memo(key)[0]
+
+
+def records_by_code(key: tuple) -> dict:
+    """family_records(key) grouped by canonical code, in record order.
+
+    Built once per key, next to the records, by the same memo, which is
+    asked directly: key must be a valid key, as dispatch_keys returns."""
+    return _records_memo(key)[1]
 
 
 @lru_cache(maxsize=None)
 def _records_memo(key: tuple) -> tuple:
     records = []
+    index: dict = {}
     for base in _KEY_KINDS[key[0]].generate(*key[1:]):
         seen = set()
         for variant, graph in _closure_variants(base.graph):
@@ -939,7 +948,8 @@ def _records_memo(key: tuple) -> tuple:
                     base, graph=graph, params={**base.params, "variant": variant}
                 )
             records.append((code, variant, base.params, member))
-    return tuple(records)
+            index.setdefault(code, []).append(records[-1])
+    return tuple(records), index
 
 
 family_records.cache_info = _records_memo.cache_info

@@ -7,8 +7,8 @@ import json
 
 import pytest
 
-from indecomp.cli import _parse_orders, main
-from indecomp.core import parse_dg, serialize_dg
+from indecomp.cli import _load, _parse_orders, main
+from indecomp.core import DgFormatError, parse_dg, serialize_dg
 from indecomp.families import (
     enum_class_F,
     enum_class_G,
@@ -178,6 +178,23 @@ def test_check_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(tmp_path / "absent.dg"))
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("byte", [b"\xc2", b"\xff"])
+def test_load_refuses_undecodable_bytes(tmp_path, byte):
+    path = tmp_path / "bad.dg"
+    path.write_bytes(b"3\n0" + byte + b"0\n000\n000\n")
+    with pytest.raises(DgFormatError):
+        _load(str(path))
+
+
+@pytest.mark.parametrize("command", ["check", "classify"])
+def test_undecodable_file_is_an_error_line(capsys, tmp_path, command):
+    path = tmp_path / "bad.dg"
+    path.write_bytes(b"1\n\xc2\xff\n")
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and not out
+    assert err.startswith("error:") and "not ASCII" in err
 
 
 def test_classify_family_member(capsys, tmp_path):

@@ -554,6 +554,8 @@ def test_parse_rejects_bad_input():
         "3\n01\n000\n100\n",         # wrong row length
         "3\n010\n0a0\n100\n",        # invalid character
         "3\n110\n000\n100\n",        # diagonal set
+        "\u00b2\n",                  # a digit to str.isdigit, not ASCII
+        "\u0663\n000\n000\n000\n",   # Arabic-Indic three
     ):
         with pytest.raises(DgFormatError):
             parse_dg(text)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -22,8 +23,8 @@ from indecomp.criticality import (
     indecomposability_graph,
     make_symgraph,
     recognize_shape,
+    shape_edges,
     support,
-    symgraph_to_dot,
 )
 from indecomp.modular import is_indecomposable, nontrivial_intervals
 
@@ -263,6 +264,51 @@ def test_shape_edgeless_and_restriction():
     assert recognize_shape(sg, restricted_to=[5, 6]).kind == "edgeless"
 
 
+def test_make_symgraph_and_restriction_refuse_bad_input():
+    sg = make_symgraph(3, [(0, 1)])
+    for build in (
+        lambda: make_symgraph(3, [(0.5, 1)]),
+        lambda: make_symgraph(-1, []),
+        lambda: make_symgraph(3, [(0, 1, 2)]),
+        lambda: make_symgraph("3", [(0, 1)]),
+        lambda: recognize_shape(sg, restricted_to=["a"]),
+        lambda: recognize_shape(sg, restricted_to=[0.5, 1]),
+    ):
+        with pytest.raises(DigraphError):
+            build()
+
+
+def labelled_symgraphs(max_order):
+    for n in range(max_order + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            yield make_symgraph(
+                n, [p for i, p in enumerate(pairs) if mask >> i & 1]
+            )
+
+
+# recorded with the recognizer that built its own adjacency from the edges
+SHAPES_SHA256 = "1b2971258dcc7c06be6f5e3424c2efa09c23a5923a59904d73b9884fa8a6f8f9"
+
+
+def test_shape_layer_pinned_on_small_symgraphs():
+    # every labelled symmetric graph of orders 0..6 (33,868 graphs); each
+    # laid-out shape's edges are edges of the graph it was read from
+    h = hashlib.sha256()
+    for sg in labelled_symgraphs(6):
+        sup = support(sg)
+        shapes = (
+            recognize_shape(sg),
+            recognize_shape(sg, restricted_to=sup.component),
+        )
+        for part in (sup,) + shapes:
+            h.update(repr(part).encode() + b"\n")
+        for shape in shapes:
+            if shape.kind != "other":
+                assert shape_edges(shape) <= sg.edges, (sg, shape)
+    assert h.hexdigest() == SHAPES_SHA256
+
+
 # -- lemma audit ------------------------------------------------------------------------
 
 
@@ -292,14 +338,3 @@ def test_check_lemma21_preconditions():
         check_lemma21(make_digraph(4, []))
     with pytest.raises(DigraphError):
         check_lemma21(make_digraph(6, []))
-
-
-# -- export ------------------------------------------------------------------------------
-
-
-def test_symgraph_to_dot():
-    sg = make_symgraph(3, [(0, 1)])
-    dot = symgraph_to_dot(sg, highlight=2)
-    assert dot.startswith("graph")
-    assert "0 -- 1;" in dot
-    assert "2 [style=filled" in dot
