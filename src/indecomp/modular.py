@@ -20,12 +20,12 @@ otherwise returns a nontrivial interval that the test found on the way: the
 proper closure of {a, b}, or a class a refinement could not split.
 _prime_mask is its negation.  One bounded memo, keyed on (out rows, in rows,
 universe), holds the witnesses.  The rows identify the graph, so a subgraph
-asked about again is decided once.  The surveys run their audits on the
-batched kernel, so the memo now serves two things: classify's three
-sweeps (the whole graph, the one-vertex deletions, whose witnesses the
-pairwise deletion sweep reads back, and the pairs), and callers that ask
-about the same labelled graph again, such as a member whose complement or
-dual is another member.  The bound, PRIME_MEMO_SIZE, holds the whole
+asked about again is decided once.  The surveys audit on the batched
+kernel, so the memo serves two things: classify's three sweeps (the whole
+graph, the one-vertex deletions, whose witnesses the pairwise deletion
+sweep reads back, and the pairs), and callers that ask about the same
+labelled graph again, such as a member whose complement or dual is
+another member.  The bound, PRIME_MEMO_SIZE, holds the whole
 working set of one graph; entries of earlier graphs age out.  The oracle
 does not go through the memo.
 """
@@ -45,8 +45,8 @@ SUBSET_ORACLE_BOUND = 12
 # Entries of the _interval_witness memo.  It must hold one graph's working
 # set, or a graph's own questions evict each other's answers.  classify's
 # sweeps ask at most 1 + n + n(n - 1)/2 universes; the per-graph audit
-# routines, which the surveys no longer run, touch about 2.5k on one
-# order-12 graph, and the bound still covers them.
+# routines, which the surveys do not call, touch about 2.5k on one order-12
+# graph, and the bound covers them too.
 PRIME_MEMO_SIZE = 1 << 12
 
 
