@@ -14,10 +14,11 @@ family_records or the command line, passes those checks and a bound of
 MAX_ENUM_ORDER on its claimed order before any shape or candidate is built.
 family_records(key) is the one memo per parameterization: its
 base members with their complement/dual twins and canonical codes, built
-once per process, with an index from code to records (records_by_code).  enum_family_members unions it over an order's keys, and
-classifier.match_family reads it for the keys dispatch_keys looks up from
-an observed shape in the table's claims, so members, their params and the
-memo's records are shared objects to be treated as read-only.
+once per process, with an index from code to records (records_by_code).
+enum_family_members unions it over an order's keys, and
+classifier.match_family reads the index for the keys dispatch_keys looks
+up from an observed shape in the table's claims, so members, their params
+and the memo's records are shared objects to be treated as read-only.
 """
 
 from __future__ import annotations
