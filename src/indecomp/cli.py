@@ -87,7 +87,8 @@ def _emit(data: dict) -> None:
 
 
 def _load(path: str) -> Digraph:
-    with open(path, "r", encoding="ascii") as fh:
+    # newline="" keeps CR and CRLF line ends for parse_dg to refuse
+    with open(path, "r", encoding="ascii", newline="") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

@@ -1,10 +1,11 @@
 """Exhaustive and randomized verification surveys over small digraphs.
 
 Both modes audit a chunk the same way: its graphs are a block of pair-type
-digits, and one vectorized kernel over bit-packed row sets runs the
-structural audits on every row at once.  Indecomposability is decided
-twice (splitter closure and subset enumeration, which must agree), and the
-partition, extension, existence and critical-vertex audits run on top.
+digits, and one kernel over row sets held as Python ints (bit r for row
+r) runs the structural audits on every row at once.  Indecomposability is
+decided twice (splitter closure and subset enumeration, which must agree),
+and the partition, extension, existence and critical-vertex audits run on
+top.
 Exhaustive mode sweeps every labeled pair-type assignment of a given order
 and takes each row's verdict from the kernel; every defect-one find is
 recorded by canonical code, computed once per isomorphism class and process
@@ -29,6 +30,7 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from multiprocessing import get_context
+from operator import or_
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -133,23 +135,17 @@ def _new_tallies() -> dict:
 # -- vectorized exhaustive kernel ---------------------------------------------------
 
 
-def _pack(values: np.ndarray) -> np.ndarray:
-    """Pack 0/1 values along the last axis into uint64 words: row r is bit
-    r % 64 of word r // 64, and the bits past the last row are zero."""
-    count = values.shape[-1]
-    out = np.zeros(values.shape[:-1] + (-(-count // 64) * 8,), dtype=np.uint8)
-    out[..., : -(-count // 8)] = np.packbits(values, axis=-1, bitorder="little")
-    return out.view("<u8")
+def _pack(values: np.ndarray) -> list:
+    """One row set per line of a 2-D array of 0/1 values: the int whose bit
+    r is the line's value at row r."""
+    packed = np.packbits(values, axis=-1, bitorder="little")
+    return [int.from_bytes(line.tobytes(), "little") for line in packed]
 
 
-def _popcount(bits: np.ndarray) -> int:
-    return int(np.bitwise_count(bits).sum())
-
-
-def _at_least(planes: Iterable[np.ndarray], levels: int, like: np.ndarray) -> list:
+def _at_least(planes: Iterable[int], levels: int) -> list:
     """Saturating bit counters: item i holds the rows where at least i + 1
     of the planes are set."""
-    counts = [np.zeros_like(like) for _ in range(levels)]
+    counts = [0] * levels
     for plane in planes:
         for i in range(levels - 1, 0, -1):
             counts[i] |= counts[i - 1] & plane
@@ -160,14 +156,16 @@ def _at_least(planes: Iterable[np.ndarray], levels: int, like: np.ndarray) -> li
 class _Kernel:
     """Pair types over a block of same-order graphs, one bit per row.
 
-    Every row set is a packed uint64 array, row r being bit r % 64 of word
-    r // 64, with the bits past count zero (ones holds every row).  Each
-    ordered pair (x, y) has two bit planes, the low and the high bit of its
-    type digit; the reversed pair swaps them.  Rows where two ordered pairs
-    have one type are same(a, b), and subset primality is decided by
-    interval enumeration over those sets.  The whole-graph closure route,
-    closure_prime(), shares nothing with it: it builds its own arc planes
-    from digits and grows the closure of each seed pair bit-sliced.
+    Every row set is a nonnegative Python int, row r being bit r, with no
+    bit at or past count set (ones holds every row).  "Not in b" is written
+    ones ^ b, never ~b, which goes through negative ints and is several
+    times slower on large sets.  Each ordered pair (x, y) has two bit
+    planes, the low and the high bit of its type digit; the reversed pair
+    swaps them.  Rows where two ordered pairs have one type are same(a, b),
+    and subset primality is decided by interval enumeration over those
+    sets.  The whole-graph closure route, closure_prime(), shares nothing
+    with it: it builds its own arc planes from digits and grows the closure
+    of each seed pair bit-sliced.
     """
 
     def __init__(self, order: int, digits: np.ndarray):
@@ -175,7 +173,7 @@ class _Kernel:
         self.count = digits.shape[0]
         self.pairs = list(itertools.combinations(range(order), 2))
         self.digits = digits
-        self.ones = _pack(np.ones(self.count, dtype=bool))
+        self.ones = (1 << self.count) - 1
         low, high = _pack(digits.T & 1), _pack(digits.T >> 1)
         self.planes = {}
         for p, (x, y) in enumerate(self.pairs):
@@ -185,12 +183,12 @@ class _Kernel:
         self._uniform: dict = {}
         self._prime: dict = {}
 
-    def rows(self, bits: np.ndarray) -> np.ndarray:
+    def rows(self, bits: int) -> np.ndarray:
         """The row set as bool[count]."""
-        return np.unpackbits(bits.view(np.uint8), count=self.count,
-                             bitorder="little").view(bool)
+        packed = np.frombuffer(bits.to_bytes(-(-self.count // 8), "little"), np.uint8)
+        return np.unpackbits(packed, count=self.count, bitorder="little").view(bool)
 
-    def same(self, a: tuple, b: tuple) -> np.ndarray:
+    def same(self, a: tuple, b: tuple) -> int:
         """Rows where the ordered pairs a and b have one type."""
         key = (a, b) if a <= b else (b, a)
         got = self._same.get(key)
@@ -200,28 +198,30 @@ class _Kernel:
             self._same[key] = got
         return got
 
-    def uniform(self, z: int, members: tuple) -> np.ndarray:
+    def uniform(self, z: int, members: tuple) -> int:
         """Rows where vertex z relates identically to every member."""
         key = (z, members)
         got = self._uniform.get(key)
         if got is None:
-            got = self.ones.copy()
+            got = self.ones
             for s in members[1:]:
                 got &= self.same((z, members[0]), (z, s))
             self._uniform[key] = got
         return got
 
-    def interval_within(self, universe: tuple, members: tuple) -> np.ndarray:
+    def interval_within(self, universe: tuple, members: tuple) -> int:
         """Rows where members form an interval of the graph induced on
         universe."""
-        acc = self.ones.copy()
+        acc = self.ones
         inside = set(members)
         for z in universe:
             if z not in inside:
                 acc &= self.uniform(z, members)
+                if not acc:
+                    break
         return acc
 
-    def subset_prime(self, subset: Iterable[int]) -> np.ndarray:
+    def subset_prime(self, subset: Iterable[int]) -> int:
         """Subset-enumeration route: no nontrivial interval inside."""
         key = tuple(sorted(subset))
         got = self._prime.get(key)
@@ -229,7 +229,7 @@ class _Kernel:
             if len(key) <= 2:
                 got = self.ones
             else:
-                decomposable = np.zeros_like(self.ones)
+                decomposable = 0
                 for size in range(2, len(key)):
                     for members in itertools.combinations(key, size):
                         decomposable |= self.interval_within(key, members)
@@ -237,7 +237,7 @@ class _Kernel:
             self._prime[key] = got
         return got
 
-    def closure_prime(self) -> np.ndarray:
+    def closure_prime(self) -> int:
         """Splitter-closure route for the whole graph: indecomposable iff
         the closure of every seed pair reaches all vertices.
 
@@ -263,24 +263,24 @@ class _Kernel:
                     split[(x, v, w)] = split[(v, x, w)] = (
                         (arc[(x, w)] ^ arc[(v, w)]) | (arc[(w, x)] ^ arc[(w, v)])
                     )
-        result = ones.copy()
+        result = ones
         for x, y in self.pairs:
             outside = {w: ones for w in range(n) if w != x and w != y}
             frontier = {y: ones}
             while frontier:
                 added = {}
                 for w, rows in outside.items():
-                    reach = np.zeros_like(ones)
+                    reach = 0
                     for v, new in frontier.items():
                         if v != w:
                             reach |= split[(x, v, w)] & new
                     reach &= rows
-                    if reach.any():
+                    if reach:
                         added[w] = reach
                         outside[w] = rows ^ reach
                 frontier = added
             for rows in outside.values():
-                result &= ~rows
+                result &= ones ^ rows
         return result
 
     def graph_at(self, row: int) -> Digraph:
@@ -295,16 +295,16 @@ def _kernel_partition_audit(k: _Kernel, tallies: dict, *, per_subset: bool) -> N
     outside_partition is checked once per (prime subset, outside vertex),
     or with per_subset once per prime subset, failing when any outside
     vertex lies in zero or several classes; random mode counts that unit."""
-    n = k.n
+    n, ones = k.n, k.ones
     partition, rules = tallies["outside_partition"], tallies["extension_rules"]
     for size in (3, 4):
         if size > n - 1:
             continue
         for xs in itertools.combinations(range(n), size):
             eligible = k.subset_prime(xs)
-            count = _popcount(eligible)
-            if count == 0:
+            if not eligible:
                 continue
+            count = eligible.bit_count()
             outside = tuple(v for v in range(n) if v not in xs)
             bracket = {}
             cells = {}
@@ -313,7 +313,7 @@ def _kernel_partition_audit(k: _Kernel, tallies: dict, *, per_subset: bool) -> N
             for z in outside:
                 bracket[z] = k.uniform(z, xs)
                 for u in xs:
-                    match = k.ones.copy()
+                    match = ones
                     for w in xs:
                         if w != u:
                             match &= k.same((w, u), (w, z))
@@ -321,64 +321,64 @@ def _kernel_partition_audit(k: _Kernel, tallies: dict, *, per_subset: bool) -> N
                 ext[z] = k.subset_prime(xs + (z,))
                 # exactly one of the classes must hold z
                 one, two = _at_least(
-                    [bracket[z], *(cells[(z, u)] for u in xs), ext[z]], 2, k.ones
+                    [bracket[z], *(cells[(z, u)] for u in xs), ext[z]], 2
                 )
-                misplaced.append(eligible & (two | ~one))
+                misplaced.append(eligible & (two | (ones ^ one)))
             if per_subset:
                 partition["checked"] += count
-                partition["failed"] += _popcount(reduce(np.bitwise_or, misplaced))
+                partition["failed"] += reduce(or_, misplaced).bit_count()
             else:
                 partition["checked"] += count * len(outside)
-                partition["failed"] += sum(map(_popcount, misplaced))
+                partition["failed"] += sum(bits.bit_count() for bits in misplaced)
             for x, y in itertools.permutations(outside, 2):
                 uni = tuple(sorted(xs + (x, y)))
-                hyp_base = eligible & ~k.subset_prime(uni)
+                hyp_base = eligible & (ones ^ k.subset_prime(uni))
+                if not hyp_base:
+                    continue
                 for u in xs:
-                    hyp = hyp_base & cells[(x, u)] & ~cells[(y, u)]
-                    checked = _popcount(hyp)
-                    if checked:
+                    hyp = hyp_base & cells[(x, u)] & (ones ^ cells[(y, u)])
+                    if hyp:
                         ok = k.interval_within(uni, tuple(sorted((u, x))))
-                        rules["checked"] += checked
-                        rules["failed"] += _popcount(hyp & ~ok)
-                hyp = hyp_base & bracket[x] & ~bracket[y]
-                checked = _popcount(hyp)
-                if checked:
+                        rules["checked"] += hyp.bit_count()
+                        rules["failed"] += (hyp & (ones ^ ok)).bit_count()
+                hyp = hyp_base & bracket[x] & (ones ^ bracket[y])
+                if hyp:
                     ok = k.interval_within(uni, tuple(sorted(xs + (y,))))
-                    rules["checked"] += checked
-                    rules["failed"] += _popcount(hyp & ~ok)
+                    rules["checked"] += hyp.bit_count()
+                    rules["failed"] += (hyp & (ones ^ ok)).bit_count()
             for x, y in itertools.combinations(outside, 2):
                 uni = tuple(sorted(xs + (x, y)))
-                hyp = eligible & ~k.subset_prime(uni) & ext[x] & ext[y]
-                checked = _popcount(hyp)
-                if checked:
+                hyp = eligible & (ones ^ k.subset_prime(uni)) & ext[x] & ext[y]
+                if hyp:
                     ok = k.interval_within(uni, tuple(sorted((x, y))))
-                    rules["checked"] += checked
-                    rules["failed"] += _popcount(hyp & ~ok)
+                    rules["checked"] += hyp.bit_count()
+                    rules["failed"] += (hyp & (ones ^ ok)).bit_count()
 
 
-def _kernel_existence_audits(k: _Kernel, whole: np.ndarray, tallies: dict) -> None:
+def _kernel_existence_audits(k: _Kernel, whole: int, tallies: dict) -> None:
     """Vectorized audits of the two existence statements: a two-vertex
     extension keeping a subset indecomposable, and a small indecomposable
     subgraph around each vertex."""
-    n = k.n
+    n, ones = k.n, k.ones
     for size in (3, 4):
         if n - size < 2:
             continue
         for xs in itertools.combinations(range(n), size):
             eligible = whole & k.subset_prime(xs)
-            count = _popcount(eligible)
-            if count == 0:
+            if not eligible:
                 continue
             outside = tuple(v for v in range(n) if v not in xs)
-            success = np.zeros_like(k.ones)
+            success = 0
             for x, y in itertools.combinations(outside, 2):
                 success |= k.subset_prime(tuple(sorted(xs + (x, y))))
-            tallies["two_vertex_extension"]["checked"] += count
-            tallies["two_vertex_extension"]["failed"] += _popcount(eligible & ~success)
+            tallies["two_vertex_extension"]["checked"] += eligible.bit_count()
+            tallies["two_vertex_extension"]["failed"] += (
+                eligible & (ones ^ success)
+            ).bit_count()
     if n >= 5:
-        prime_count = _popcount(whole)
+        prime_count = whole.bit_count()
         for a in range(n):
-            success = np.zeros_like(k.ones)
+            success = 0
             others = [v for v in range(n) if v != a]
             for extra in (3, 4):
                 if extra > len(others):
@@ -388,19 +388,19 @@ def _kernel_existence_audits(k: _Kernel, whole: np.ndarray, tallies: dict) -> No
             if n == 5:
                 success |= whole
             tallies["small_indecomposable"]["checked"] += prime_count
-            tallies["small_indecomposable"]["failed"] += _popcount(whole & ~success)
+            tallies["small_indecomposable"]["failed"] += (
+                whole & (ones ^ success)
+            ).bit_count()
 
 
-def _kernel_critical_audit(
-    k: _Kernel, whole: np.ndarray, noncrit: list, tallies: dict
-) -> None:
+def _kernel_critical_audit(k: _Kernel, whole: int, noncrit: list, tallies: dict) -> None:
     """Vectorized degree and forced-interval audit for critical vertices.
 
     Every vertex pair is decided by subset_prime on purpose: the scalar
     indecomposability_graph tests only the pairs its interval witnesses
     leave open, so its degree bound holds by construction, and this audit
     checks the bound independently of that shortcut."""
-    n = k.n
+    n, ones = k.n, k.ones
     if n < 5:
         return
     edge = {}
@@ -409,26 +409,27 @@ def _kernel_critical_audit(
             tuple(v for v in range(n) if v not in (x, y))
         )
     for x in range(n):
-        critical = whole & ~noncrit[x]
-        count = _popcount(critical)
-        if count == 0:
+        critical = whole & (ones ^ noncrit[x])
+        if not critical:
             continue
         nbrs = [y for y in range(n) if y != x]
-        one, two, three = _at_least((edge[(x, y)] for y in nbrs), 3, k.ones)
+        one, two, three = _at_least((edge[(x, y)] for y in nbrs), 3)
         failed = critical & three
-        degree_one, degree_two = critical & one & ~two, critical & two & ~three
+        degree_one = critical & one & (ones ^ two)
+        degree_two = critical & two & (ones ^ three)
         rest = tuple(v for v in range(n) if v != x)
         for y in nbrs:
             cond = degree_one & edge[(x, y)]
-            if cond.any():
+            if cond:
                 claim = tuple(v for v in rest if v != y)
-                failed |= cond & ~k.interval_within(rest, claim)
+                failed |= cond & (ones ^ k.interval_within(rest, claim))
         for y, z in itertools.combinations(nbrs, 2):
             cond = degree_two & edge[(x, y)] & edge[(x, z)]
-            if cond.any():
-                failed |= cond & ~k.interval_within(rest, tuple(sorted((y, z))))
-        tallies["critical_vertex_rules"]["checked"] += count
-        tallies["critical_vertex_rules"]["failed"] += _popcount(failed)
+            if cond:
+                ok = k.interval_within(rest, tuple(sorted((y, z))))
+                failed |= cond & (ones ^ ok)
+        tallies["critical_vertex_rules"]["checked"] += critical.bit_count()
+        tallies["critical_vertex_rules"]["failed"] += failed.bit_count()
 
 
 def _isomorphism_keys(k: _Kernel, rows: np.ndarray) -> np.ndarray:
@@ -469,15 +470,12 @@ def _class_code(order: int, key: int) -> str:
     return canonical_code(from_pair_types(order, types)).hex()
 
 
-def _verdict_bits(k: _Kernel, whole: np.ndarray, noncrit: list) -> tuple:
+def _verdict_bits(k: _Kernel, whole: int, noncrit: list) -> tuple:
     """Row sets of each exhaustive verdict, in _EXHAUSTIVE_VERDICTS order:
     decomposable, then prime with defect 0, 1 and at least 2."""
-    one, two = _at_least(noncrit, 2, k.ones)
-    return (k.ones ^ whole, whole & ~one, whole & one & ~two, whole & two)
-
-
-def _bit(bits: np.ndarray, row: int) -> int:
-    return int(bits[row >> 6]) >> (row & 63) & 1
+    ones = k.ones
+    one, two = _at_least(noncrit, 2)
+    return (ones ^ whole, whole & (ones ^ one), whole & one & (ones ^ two), whole & two)
 
 
 def _audit_block(
@@ -526,11 +524,11 @@ def _exhaustive_chunk(args: tuple) -> dict:
         order, digits, AUDIT_NAMES, tallies, per_subset=False
     )
     tallies["indec_dual_route"]["checked"] += k.count
-    tallies["indec_dual_route"]["failed"] += _popcount(whole ^ oracle)
+    tallies["indec_dual_route"]["failed"] += (whole ^ oracle).bit_count()
 
     verdict_bits = _verdict_bits(k, whole, noncrit)
     verdicts = {
-        name: _popcount(bits) for name, bits in zip(_EXHAUSTIVE_VERDICTS, verdict_bits)
+        name: bits.bit_count() for name, bits in zip(_EXHAUSTIVE_VERDICTS, verdict_bits)
     }
 
     # canonical_code once per isomorphism class
@@ -543,6 +541,7 @@ def _exhaustive_chunk(args: tuple) -> dict:
     # of KERNEL_SAMPLE_STRIDE rows, the first decomposable row of each odd
     # one (the window's first row when none is)
     prime_rows = k.rows(whole)
+    noncrit_rows = [k.rows(bits) for bits in noncrit]
     for start in range(0, k.count, KERNEL_SAMPLE_STRIDE):
         want = start // KERNEL_SAMPLE_STRIDE % 2 == 0
         hits = np.flatnonzero(prime_rows[start : start + KERNEL_SAMPLE_STRIDE] == want)
@@ -551,7 +550,7 @@ def _exhaustive_chunk(args: tuple) -> dict:
         ref_prime = is_indecomposable(g)
         outcome = classify(g)
         prime = bool(prime_rows[row])
-        defect = sum(_bit(bits, row) for bits in noncrit)
+        defect = sum(bool(bits[row]) for bits in noncrit_rows)
         verdict = (min(defect, 2) + 1) if prime else 0
         ok = (
             ref_prime == prime

@@ -197,6 +197,21 @@ def test_undecodable_file_is_an_error_line(capsys, tmp_path, command):
     assert err.startswith("error:") and "not ASCII" in err
 
 
+@pytest.mark.parametrize("ends", ["\r\n", "\r"])
+@pytest.mark.parametrize("command", ["check", "classify"])
+def test_cr_line_ends_are_an_error_line(capsys, tmp_path, command, ends):
+    # the CLI reads a .dg file as parse_dg does: LF line ends only
+    path = tmp_path / "g.dg"
+    path.write_bytes(b"3\n010\n001\n100\n")
+    assert run(capsys, command, str(path))[0] == 0
+    text = "3\n010\n001\n100\n".replace("\n", ends)
+    with pytest.raises(DgFormatError):
+        parse_dg(text)
+    path.write_bytes(text.encode())
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and not out and err.startswith("error:")
+
+
 def test_classify_family_member(capsys, tmp_path):
     path = write_graph(tmp_path, gen_H(3))
     code, out, _ = run(capsys, "classify", path)
